@@ -869,8 +869,7 @@ def _check_intermediate_F_ptwise(
                 S[n] *= np.asarray(fj.values)[tbl[n]]
         A = S.T @ W / N  # point x by companion point y
         lhs_x = np.sqrt((np.abs(A) ** 2 * system_y.weights[None, :]).sum(axis=1))
-        dom = intermediate_F(system, functions, exponents, K, N, oversample,
-                             threads=threads, budget=budget)
+        dom = intermediate_F(system, functions, exponents, K, N, oversample, budget=budget)
         flo = np.asarray(dom.lower.values).real
         ratios = lhs_x / np.where(flo > 0, flo, np.inf)
         i = int(np.argmax(ratios))
@@ -893,8 +892,7 @@ def _check_intermediate_F_integral(
     expo = 2 ** (J + K - 2)
     rows = []
     for N in N_values:
-        dom = intermediate_F(system, functions, exponents, K, N, oversample,
-                             threads=threads, budget=budget)
+        dom = intermediate_F(system, functions, exponents, K, N, oversample, budget=budget)
         lhs = fsum((system.weights * np.asarray(dom.upper.values).real).tolist())
         base = ww_average(system, functions[0], J + K - 1, N, oversample,
                           threads=threads, budget=budget).lower

@@ -4,11 +4,19 @@ The uniform average of order k maximizes
 
     || (1/N) sum_{n=1..N} prod_{j=1..k} g_j o T^{j n} . f o T^{(k+1) n} ||_2
 
-over companion observables with sup-norm at most 1.  The maximization is a
-coordinate ascent: the objective is a positive semidefinite quadratic in any
-one g_j, so aligning one value's phase at a time (closed form) never
-decreases it.  Tiny instances can be solved exactly over the real-sign
-class by enumeration.
+over companion observables with sup-norm at most 1.  With all companions
+but g_l frozen the average is linear in g_l, A = K_l g_l, and the squared
+norm is the positive semidefinite quadratic A^H W A.  The maximization is
+Gauss-Seidel coordinate ascent on it: each value of g_l in turn takes the
+closed-form phase (or sign) that maximizes the objective with the others
+fixed, which never decreases it.  K_l is built once per call for k = 1 and
+once per companion and cycle for k >= 2; A is kept up to date rather than
+recomputed, and the coordinates are swept in fixed blocks: one matrix
+product gives every ascent direction of a block, a scalar loop applies the
+updates in natural order, coupled only through the block's Gram matrix,
+and one product pushes the block's changes into A.  The iterates are those
+of the plain one-coordinate-at-a-time sweep, up to rounding.  Tiny
+instances can be solved exactly over the real-sign class by enumeration.
 
 Also here: fixed-function recurrence norms, polynomial-phase suprema of
 recurrence products, return-times weighted averages driven by a second
@@ -19,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +70,9 @@ class MrecBracket:
     ``lower`` is always attained by the reported witnesses; ``upper`` is the
     triangle-inequality cap ||f||_2 unless brute-force enumeration closed
     the gap (then the two endpoints agree on the searched class).
+    ``converged`` says whether the reported restart stopped on ``tol``
+    rather than at ``max_cycles`` (always true for brute force, which is
+    exact).  It is diagnostic only: CLI rows and cache records omit it.
     """
 
     lower: float
@@ -68,6 +80,7 @@ class MrecBracket:
     method: str
     witnesses: list = field(default_factory=list)
     trace: list = field(default_factory=list)
+    converged: bool = False
 
     @property
     def width(self) -> float:
@@ -121,62 +134,71 @@ def multiple_recurrence_average(
 
 # -- uniform version ---------------------------------------------------------
 
+_BLOCK = 32  # coordinates per Gauss-Seidel block
 
-class _AscentState:
-    """Coordinate ascent on one companion function with the rest frozen."""
 
-    def __init__(self, system, f_vals, g_list, tables, f_table, N):
-        self.system = system
-        self.f_vals = f_vals
-        self.g_list = g_list
-        self.tables = tables
-        self.f_table = f_table
-        self.N = N
+def _fill_kernel(K, f_vals, g_list, tables, f_table, l: int, N: int) -> None:
+    """Overwrite K so that A(x) = sum_y K[x, y] g_l(y), other companions frozen.
 
-    def kernel_for(self, l: int) -> np.ndarray:
-        """Dense matrix K with A(x) = sum_y K[x, y] g_l(y)."""
-        M = self.system.size
-        K = np.zeros((M, M), dtype=np.complex128)
-        rows = np.arange(M)
-        for n in range(self.N):
-            b = self.f_vals[self.f_table[n]].copy()
-            for j, (g, tbl) in enumerate(zip(self.g_list, self.tables)):
-                if j != l:
-                    b *= g[tbl[n]]
-            K[rows, self.tables[l][n]] += b / self.N
-        return K
+    Entry (x, T^{(l+1) n} x) sums f(T^{(k+1) n} x) prod_{j != l} g_j(T^{(j+1) n} x) / N
+    over n = 1..N in increasing order (bincount adds sequentially), so
+    repeated entries, where N exceeds a cycle length, round as a plain loop.
+    """
+    M = K.shape[0]
+    b = f_vals[f_table]
+    for j, (g, tbl) in enumerate(zip(g_list, tables)):
+        if j != l:
+            b *= g[tbl]
+    b /= N
+    idx = (tables[l] * M + np.arange(M)).ravel()  # K is Fortran-ordered
+    flat = K.reshape(-1, order="F")
+    flat.real = np.bincount(idx, b.real.ravel(), M * M)
+    flat.imag = np.bincount(idx, b.imag.ravel(), M * M)
 
-    def objective(self) -> float:
-        A = self.average()
-        return fsum((self.system.weights * np.abs(A) ** 2).tolist())
 
-    def average(self) -> np.ndarray:
-        acc = np.zeros(self.system.size, dtype=np.complex128)
-        for n in range(self.N):
-            term = self.f_vals[self.f_table[n]].copy()
-            for g, tbl in zip(self.g_list, self.tables):
-                term *= g[tbl[n]]
-            acc += term
-        return acc / self.N
+def _block_grams(K, w) -> list:
+    """Lower triangles of G = K_Y^H W K_Y for the blocks Y of columns of K.
 
-    def sweep(self, l: int, K: np.ndarray, A: np.ndarray, real_signs: bool) -> np.ndarray:
-        w = self.system.weights
-        g = self.g_list[l]
-        col_sq = (w[:, None] * np.abs(K) ** 2).sum(axis=0)
-        for y in range(self.system.size):
-            col = K[:, y]
-            c_full = np.vdot(col, w * A)  # sum_x w conj(K) A
-            c = c_full - col_sq[y] * g[y]
+    Row i of a block's G, up to and including the diagonal, starts at
+    offset i (i + 1) / 2.  Matrix-vector products only: a matrix-matrix
+    product would make the BLAS library fault in its packing buffers.  The
+    blocks stay arrays; the sweep turns one at a time into Python numbers.
+    """
+    grams = []
+    for s in range(0, K.shape[1], _BLOCK):
+        Kb = K[:, s:s + _BLOCK]
+        WKb = np.conj(w[:, None] * Kb)
+        grams.append(np.concatenate([WKb[:, i] @ Kb[:, :i + 1] for i in range(Kb.shape[1])]))
+    return grams
+
+
+def _sweep(K, grams, g, A, w, real_signs: bool) -> None:
+    """One Gauss-Seidel pass over the coordinates of g, in natural order.
+
+    Updates g and A = K g in place.  Per block Y, one product gives
+    c = K_Y^H W A for the whole block; coordinate i then sees the changes
+    d_j of the earlier coordinates through the block's Gram matrix,
+    c_i + sum_{j<i} G[i, j] d_j, and one product pushes d into A.
+    """
+    for s, tri in zip(range(0, K.shape[1], _BLOCK), grams):
+        Kb = K[:, s:s + _BLOCK]
+        c = (np.conj(w * A) @ Kb).conj().tolist()
+        gb = g[s:s + _BLOCK].tolist()
+        tri = tri.tolist()
+        d = [0j] * len(gb)
+        for i, gi in enumerate(gb):
+            o = i * (i + 1) // 2
+            ci = c[i] + sum(map(operator.mul, tri[o:o + i], d)) - tri[o + i].real * gi
             if real_signs:
-                new = 1.0 if c.real > 0 else (-1.0 if c.real < 0 else g[y])
+                new = 1.0 if ci.real > 0 else (-1.0 if ci.real < 0 else gi)
             else:
-                mag = abs(c)
-                new = c / mag if mag > 1e-300 else g[y]
-            delta = new - g[y]
-            if delta != 0:
-                A = A + col * delta
-                g[y] = new
-        return A
+                mag = abs(ci)
+                new = ci / mag if mag > 1e-300 else gi
+            if new != gi:
+                gb[i] = new
+                d[i] = new - gi
+        g[s:s + _BLOCK] = gb
+        A += Kb @ np.array(d)
 
 
 def uniform_mrec_bracket(
@@ -235,14 +257,16 @@ def uniform_mrec_bracket(
                 best = val
                 best_g = [g.copy() for g in gs]
         val = math.sqrt(best)
-        return MrecBracket(val, val, "brute", [np.asarray(g) for g in best_g])
+        return MrecBracket(val, val, "brute", [np.asarray(g) for g in best_g], converged=True)
 
     est = (restarts + 1) * max_cycles * k * (float(N) * M + M * M)
     check_budget(est, budget, "uniform_mrec_bracket")
     rng = np.random.default_rng(int(seed))
+    K = np.empty((M, M), dtype=np.complex128, order="F")  # column blocks are views
     best_obj = -1.0
     best_g = None
     best_trace: list = []
+    best_converged = False
     for attempt in range(restarts + 1):
         if attempt == 0:
             g_list = [np.ones(M, dtype=np.complex128) for _ in range(k)]
@@ -250,29 +274,36 @@ def uniform_mrec_bracket(
             g_list = [np.where(rng.random(M) < 0.5, -1.0, 1.0).astype(np.complex128) for _ in range(k)]
         else:
             g_list = [np.exp(2j * np.pi * rng.random(M)) for _ in range(k)]
-        state = _AscentState(system, f.values, g_list, tables, f_table, N)
-        obj = state.objective()
+        if attempt == 0 or k > 1:  # for k = 1 the kernel never changes
+            _fill_kernel(K, f.values, g_list, tables, f_table, 0, N)
+            grams = _block_grams(K, w)
+        A = K @ g_list[0]
+        obj = fsum((w * np.abs(A) ** 2).tolist())
         trace = [obj]
-        for _ in range(max_cycles):
+        converged = False
+        for cycle in range(max_cycles):
             for l in range(k):
-                K = state.kernel_for(l)
-                A = state.average()
-                A = state.sweep(l, K, A, real_signs)
-            obj_new = state.objective()
+                if k > 1 and (cycle or l):
+                    _fill_kernel(K, f.values, g_list, tables, f_table, l, N)
+                    grams = _block_grams(K, w)
+                _sweep(K, grams, g_list[l], A, w, real_signs)
+            obj_new = fsum((w * np.abs(A) ** 2).tolist())
             if obj_new < obj - 1e-12 * max(1.0, obj):
                 raise AssertionError("coordinate ascent decreased the objective")
             trace.append(obj_new)
             if obj_new - obj <= tol * max(1.0, obj):
                 obj = obj_new
+                converged = True
                 break
             obj = obj_new
         if obj > best_obj:
             best_obj = obj
             best_g = [g.copy() for g in g_list]
             best_trace = trace
+            best_converged = converged
     lower = math.sqrt(max(best_obj, 0.0))
     upper = max(cap, lower)
-    return MrecBracket(lower, upper, "alternating", best_g, best_trace)
+    return MrecBracket(lower, upper, "alternating", best_g, best_trace, best_converged)
 
 
 # -- polynomial-phase supremum over recurrence products ----------------------
@@ -407,7 +438,6 @@ def intermediate_F(
     K_order: int,
     N: int,
     oversample: int = 16,
-    threads: int = 1,
     budget=None,
 ) -> PointwiseDominator:
     """Pointwise dominator built from cube products at scale a_j.

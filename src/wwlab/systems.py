@@ -121,9 +121,11 @@ class FiniteSystem:
                 cid[idx] = len(cycles)
                 cpos[idx] = pos
             cycles.append(arr)
-        self._cycles = cycles
+        # ``_cycles`` is the "ready" sentinel other threads test, so it is
+        # published last: whoever sees it set also sees both index arrays
         self._cycle_id = cid
         self._cycle_pos = cpos
+        self._cycles = cycles
 
     def power_indices(self, n: int) -> np.ndarray:
         """Index array of T^n, valid for any integer ``n`` (Python ints ok)."""

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from wwlab._util import fsum
 from wwlab.recurrence import (
     ExponentVector,
+    _step_tables,
     companion_weights,
     intermediate_F,
     multiple_recurrence_average,
@@ -21,6 +23,7 @@ from wwlab.systems import (
     cyclic_shift,
     identity_system,
     random_mean_zero,
+    random_permutation,
 )
 
 
@@ -127,6 +130,141 @@ def test_uniform_bracket_invariants():
     # upper endpoint is the L2 cap
     cap = math.sqrt(np.mean(np.abs(f.values) ** 2))
     assert br.upper == pytest.approx(max(cap, br.lower), rel=1e-12)
+
+
+def _oracle_average(system, f, gs, k, N):
+    tables = _step_tables(system, range(1, k + 1), N)
+    f_table = _step_tables(system, [k + 1], N)[0]
+    acc = np.zeros(system.size, dtype=np.complex128)
+    for n in range(N):
+        term = f.values[f_table[n]].copy()
+        for g, tbl in zip(gs, tables):
+            term *= g[tbl[n]]
+        acc += term
+    return acc / N
+
+
+def _oracle_objective(system, f, gs, k, N):
+    return fsum((system.weights * np.abs(_oracle_average(system, f, gs, k, N)) ** 2).tolist())
+
+
+def _oracle_ascent(system, f, k, N, restarts=2, seed=0, tol=1e-9, max_cycles=60, real_signs=False):
+    """Plain one-coordinate-at-a-time ascent that rebuilds K and A every sweep.
+
+    Returns (objective, witnesses, trace) of every restart.
+    """
+    M, w = system.size, system.weights
+    tables = _step_tables(system, range(1, k + 1), N)
+    f_table = _step_tables(system, [k + 1], N)[0]
+    rng = np.random.default_rng(seed)
+    runs = []
+    for attempt in range(restarts + 1):
+        if attempt == 0:
+            gs = [np.ones(M, dtype=np.complex128) for _ in range(k)]
+        elif real_signs:
+            gs = [np.where(rng.random(M) < 0.5, -1.0, 1.0).astype(np.complex128) for _ in range(k)]
+        else:
+            gs = [np.exp(2j * np.pi * rng.random(M)) for _ in range(k)]
+        obj = _oracle_objective(system, f, gs, k, N)
+        trace = [obj]
+        for _ in range(max_cycles):
+            for l, g in enumerate(gs):
+                K = np.zeros((M, M), dtype=np.complex128)
+                for n in range(N):
+                    b = f.values[f_table[n]].copy()
+                    for j in range(k):
+                        if j != l:
+                            b *= gs[j][tables[j][n]]
+                    K[np.arange(M), tables[l][n]] += b / N
+                A = _oracle_average(system, f, gs, k, N)
+                col_sq = (w[:, None] * np.abs(K) ** 2).sum(axis=0)
+                for y in range(M):
+                    c = np.vdot(K[:, y], w * A) - col_sq[y] * g[y]
+                    if real_signs:
+                        new = 1.0 if c.real > 0 else (-1.0 if c.real < 0 else g[y])
+                    else:
+                        new = c / abs(c) if abs(c) > 1e-300 else g[y]
+                    if new != g[y]:
+                        A = A + K[:, y] * (new - g[y])
+                        g[y] = new
+            obj_new = _oracle_objective(system, f, gs, k, N)
+            trace.append(obj_new)
+            done = obj_new - obj <= tol * max(1.0, obj)
+            obj = obj_new
+            if done:
+                break
+        runs.append((obj, gs, trace))
+    return runs
+
+
+def _free_coordinates(system, f, k, N, gs, real_signs):
+    """Mask of companion values the objective does not depend on.
+
+    The objective is affine in each companion value on its circle (or sign
+    pair), so a value is free exactly when its ascent direction vanishes.
+    That happens at a fixed point of T (every point of the identity system)
+    and wherever the cycle structure makes the direction cancel; both
+    sweeps then read pure rounding noise and may leave the value anywhere.
+    """
+    base = _oracle_objective(system, f, gs, k, N)
+    free = np.zeros((k, system.size), dtype=bool)
+    for l in range(k):
+        for y in range(system.size):
+            vals = []
+            for phase in ((-1.0,) if real_signs else (1j, -1.0)):
+                trial = [g.copy() for g in gs]
+                trial[l][y] *= phase
+                vals.append(_oracle_objective(system, f, trial, k, N))
+            free[l, y] = all(abs(v - base) <= 1e-12 * base for v in vals)
+    return free
+
+
+@pytest.mark.parametrize(
+    "system, k, N, real_signs, has_free",
+    [
+        (cyclic_shift(7), 1, 16, False, False),
+        (cyclic_shift(7), 1, 16, True, False),
+        (cyclic_shift(11), 2, 24, False, False),
+        (cyclic_shift(37), 3, 9, True, False),
+        (random_permutation(40, 3), 1, 20, False, True),
+        (random_permutation(40, 3), 1, 20, True, True),
+        (random_permutation(70, 5), 2, 30, False, True),
+        (random_permutation(30, 8), 3, 12, False, True),
+        (identity_system(6), 1, 5, False, True),
+        (identity_system(6), 2, 5, True, True),
+    ],
+    ids=lambda v: v.spec["kind"] if hasattr(v, "spec") else str(v),
+)
+def test_blocked_ascent_matches_per_coordinate_oracle(system, k, N, real_signs, has_free):
+    # N exceeds a cycle length in every case, so kernel entries repeat; sizes
+    # 37, 40 and 70 span more than one Gauss-Seidel block
+    f = random_mean_zero(system, 2)
+    br = uniform_mrec_bracket(system, f, k, N, seed=4, real_signs=real_signs)
+    runs = _oracle_ascent(system, f, k, N, seed=4, real_signs=real_signs)
+    # restarts that tie for the best value (g and -g, or a common phase
+    # rotation, give the same objective) are told apart by rounding alone, so
+    # the reported restart may be any of them; its first value names it
+    best = max(obj for obj, _, _ in runs)
+    obj, witnesses, trace = next(r for r in runs if math.isclose(r[2][0], br.trace[0], rel_tol=1e-12))
+    assert obj >= best * (1 - 1e-12)
+    assert len(br.trace) == len(trace)
+    assert np.allclose(br.trace, trace, rtol=1e-12, atol=0.0)
+    assert br.lower == pytest.approx(math.sqrt(best), rel=1e-12)
+    free = _free_coordinates(system, f, k, N, witnesses, real_signs)
+    assert free.any() == has_free
+    for l, (got, want) in enumerate(zip(br.witnesses, witnesses)):
+        assert np.max(np.abs(got - want)[~free[l]], initial=0.0) <= 1e-9
+
+
+def test_uniform_bracket_converged_flag():
+    system = cyclic_shift(8)
+    f = random_mean_zero(system, 5)
+    done = uniform_mrec_bracket(system, f, 1, 16)
+    assert done.converged and len(done.trace) - 1 < 60
+    capped = uniform_mrec_bracket(system, f, 1, 16, max_cycles=2)
+    assert not capped.converged and len(capped.trace) == 3
+    small = cyclic_shift(4)
+    assert uniform_mrec_bracket(small, random_mean_zero(small, 7), 1, 12, brute_force=True).converged
 
 
 def test_uniform_bracket_brute_closes_gap():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wwlab.systems import (
+    FiniteSystem,
     Observable,
     Partition,
     build_system,
@@ -37,6 +38,24 @@ def test_cyclic_shift_orbit():
     assert iterate(system, 6, 1) == 0
     assert iterate(system, 2, 7) == 2
     assert abs(system.weights.sum() - 1.0) < 1e-15
+
+
+def test_cycle_tables_published_before_ready_sentinel():
+    # a concurrent iterate() proceeds as soon as it sees _cycles set, so the
+    # index arrays it then reads must already be in place
+    class Recording(FiniteSystem):
+        def __setattr__(self, name, value):
+            if name.startswith("_cycle"):
+                self.__dict__.setdefault("log", []).append((name, value is None))
+            super().__setattr__(name, value)
+
+    base = random_permutation(9, 4)
+    system = Recording(base.weights, base.forward)
+    system.log.clear()
+    system._ensure_cycles()
+    assert [name for name, _ in system.log] == ["_cycle_id", "_cycle_pos", "_cycles"]
+    assert not any(was_none for _, was_none in system.log)
+    assert iterate(system, 0, 9) == 0
 
 
 def test_measure_preservation():
