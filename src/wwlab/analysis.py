@@ -835,8 +835,7 @@ def _check_poly_ww(
 
 def _check_intermediate_F_ptwise(
     system=None, system_y=None, functions=None, exponents=None, g_list=None,
-    b_steps=None, N_values=(32,), oversample: int = 16, seed: int = 0,
-    threads: int = 1, budget=None,
+    b_steps=None, N_values=(32,), oversample: int = 16, seed: int = 0, budget=None,
 ):
     """Companion-weighted average at each base point against the dominator.
 

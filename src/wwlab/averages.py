@@ -29,7 +29,7 @@ from ._util import check_budget, fsum, pmap
 from .supbrackets import Bracket, _grid_sup_rows, sup_norm_trig
 from .systems import FiniteSystem, Observable
 
-_POINT_CHUNK_BUDGET = 4_000_000  # complex entries per FFT block
+_POINT_CHUNK_BUDGET = 1 << 18  # complex entries gathered per point chunk (4 MiB)
 
 
 @dataclass(frozen=True)
@@ -200,15 +200,12 @@ def cube_product(system: FiniteSystem, assignment: CubeAssignment, h) -> Observa
 def _strong_kernel(system: FiniteSystem, values: np.ndarray, N: int, oversample: int, norm_p: int):
     """(lower, upper) of || sup_t |(1/N) sum_n e^{2 pi i n t} F(T^n x)| ||_p."""
     orbit = system.orbit_table(N)
-    seq = values[orbit[1 : N + 1]].T  # (points, N)
-    K = oversample * N
-    chunk = max(1, _POINT_CHUNK_BUDGET // K)
+    chunk = max(1, _POINT_CHUNK_BUDGET // N)
     lows = np.empty(system.size)
     ups = np.empty(system.size)
     for start in range(0, system.size, chunk):
-        lo, up, _ = _grid_sup_rows(seq[start : start + chunk], oversample)
-        lows[start : start + chunk] = lo
-        ups[start : start + chunk] = up
+        seq = values[orbit[1 : N + 1, start : start + chunk].T]  # (points, N)
+        lows[start : start + chunk], ups[start : start + chunk], _ = _grid_sup_rows(seq, oversample)
     w = system.weights
     if norm_p == 2:
         lo_n = math.sqrt(fsum((w * lows**2).tolist()))

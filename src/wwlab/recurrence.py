@@ -137,20 +137,21 @@ def multiple_recurrence_average(
 _BLOCK = 32  # coordinates per Gauss-Seidel block
 
 
-def _fill_kernel(K, f_vals, g_list, tables, f_table, l: int, N: int) -> None:
+def _fill_kernel(K, f_seq, g_list, tables, idx, l: int, N: int) -> None:
     """Overwrite K so that A(x) = sum_y K[x, y] g_l(y), other companions frozen.
 
     Entry (x, T^{(l+1) n} x) sums f(T^{(k+1) n} x) prod_{j != l} g_j(T^{(j+1) n} x) / N
     over n = 1..N in increasing order (bincount adds sequentially), so
     repeated entries, where N exceeds a cycle length, round as a plain loop.
+    ``f_seq`` is f o T^{(k+1) n} and ``idx`` the flat Fortran-order index of
+    entry (x, T^{(l+1) n} x); neither depends on the companions.
     """
     M = K.shape[0]
-    b = f_vals[f_table]
+    b = f_seq.copy()
     for j, (g, tbl) in enumerate(zip(g_list, tables)):
         if j != l:
             b *= g[tbl]
     b /= N
-    idx = (tables[l] * M + np.arange(M)).ravel()  # K is Fortran-ordered
     flat = K.reshape(-1, order="F")
     flat.real = np.bincount(idx, b.real.ravel(), M * M)
     flat.imag = np.bincount(idx, b.imag.ravel(), M * M)
@@ -263,6 +264,8 @@ def uniform_mrec_bracket(
     check_budget(est, budget, "uniform_mrec_bracket")
     rng = np.random.default_rng(int(seed))
     K = np.empty((M, M), dtype=np.complex128, order="F")  # column blocks are views
+    f_seq = f.values[f_table]
+    idx = [(tbl * M + np.arange(M)).ravel() for tbl in tables]
     best_obj = -1.0
     best_g = None
     best_trace: list = []
@@ -275,7 +278,7 @@ def uniform_mrec_bracket(
         else:
             g_list = [np.exp(2j * np.pi * rng.random(M)) for _ in range(k)]
         if attempt == 0 or k > 1:  # for k = 1 the kernel never changes
-            _fill_kernel(K, f.values, g_list, tables, f_table, 0, N)
+            _fill_kernel(K, f_seq, g_list, tables, idx[0], 0, N)
             grams = _block_grams(K, w)
         A = K @ g_list[0]
         obj = fsum((w * np.abs(A) ** 2).tolist())
@@ -284,7 +287,7 @@ def uniform_mrec_bracket(
         for cycle in range(max_cycles):
             for l in range(k):
                 if k > 1 and (cycle or l):
-                    _fill_kernel(K, f.values, g_list, tables, f_table, l, N)
+                    _fill_kernel(K, f_seq, g_list, tables, idx[l], l, N)
                     grams = _block_grams(K, w)
                 _sweep(K, grams, g_list[l], A, w, real_signs)
             obj_new = fsum((w * np.abs(A) ** 2).tolist())

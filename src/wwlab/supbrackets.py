@@ -5,6 +5,18 @@ phase grid anchored at t = 0 (the grid maximum is a rigorous lower bound,
 since the supremum is over a superset), then convert the grid maximum into
 a rigorous upper bound.
 
+Grid evaluation
+---------------
+Modulated averages are read on the K = oversample * N point grid t = j / K
+without a K-point transform.  Writing j = m * oversample + r, the value at
+t is entry m of the N-point inverse DFT of the twisted row
+u_n e^{2 pi i n r / K}, whose 1/N normalisation is already the average; so
+each row costs ``oversample`` N-point transforms and no zero padding.  One
+kernel, ``_grid_sup_rows``, does this for batches of rows in blocks that
+stay in cache, keeping per row the grid maximum and its first index in
+grid order; every strong average, the degree-2 polynomial phase search
+(one row per t_2 grid value) and the recurrence suprema go through it.
+
 Upper bound certificates
 ------------------------
 For an exponential sum g with integer frequencies, write n_c for the
@@ -37,6 +49,8 @@ from ._util import check_budget, fsum_complex
 
 _MAX_CERTIFIED_DEGREE = 2
 _MIN_OVERSAMPLE = 4
+_GRID_BLOCK = 1 << 15  # complex entries per transform block (512 KiB)
+_POLY_CHUNK = 1 << 18  # complex entries per chunk of twisted rows in sup_polyphase
 
 
 @dataclass(frozen=True)
@@ -129,22 +143,61 @@ def _grid_sup_rows(U: np.ndarray, oversample: int):
     """Shared kernel: per-row bracket data for sup_t |(1/N) sum u_n e^{2 pi i n t}|.
 
     U has shape (rows, N) with the sequence index n = 1..N along axis 1.
-    Returns (lower, upper, argmax_t) arrays of shape (rows,).
+    Returns (lower, upper, argmax_t) arrays of shape (rows,): the maximum
+    over the grid t = j / K, K = oversample * N, the certified upper bound,
+    and t at the first j that reaches the maximum.
+
+    Grid point j = m * oversample + r is entry m of the N-point inverse DFT
+    of u_n e^{2 pi i n r / K} placed at position n - 1 (the placement only
+    multiplies the entry by e^{-2 pi i m / N}, which leaves its modulus
+    alone), and the 1/N of the inverse transform is the average itself.
+    Rows and offsets r go through in blocks of about _GRID_BLOCK entries,
+    each row copied to contiguous memory first, so a row's results do not
+    depend on the batch it arrives in.
     """
     rows, N = U.shape
     K = oversample * N
-    padded = np.zeros((rows, K), dtype=np.complex128)
-    padded[:, 1 : N + 1] = U
-    values = np.abs(np.fft.ifft(padded, axis=1)) * (K / N)
-    lower = values.max(axis=1)
-    arg = values.argmax(axis=1) / K
-    absU = np.abs(U)
-    sec = _secant(N // 2, K)
-    deriv = (2.0 * math.pi / N) * (absU * np.arange(1, N + 1)).sum(axis=1)
-    cap = absU.sum(axis=1) / N
-    upper = np.minimum(np.minimum(lower * sec, lower + deriv / (2 * K)), cap)
+    n = np.arange(1, N + 1)
+    twist = np.exp((2j * math.pi / K) * (np.arange(oversample)[:, None] * n % K))
+    if K <= _GRID_BLOCK:
+        row_block, r_block = _GRID_BLOCK // K, oversample
+    else:
+        row_block, r_block = 1, max(1, _GRID_BLOCK // N)
+    row_block = min(row_block, rows)
+    buf = np.empty(row_block * r_block * N, dtype=np.complex128)
+    mag = np.empty(buf.size)
+    grid = np.empty(buf.size)
+    lower = np.full(rows, -1.0)
+    best_j = np.zeros(rows, dtype=np.intp)
+    deriv = np.empty(rows)
+    cap = np.empty(rows)
+    for s in range(0, rows, row_block):
+        V = np.ascontiguousarray(U[s : s + row_block], dtype=np.complex128)
+        b = V.shape[0]
+        for r0 in range(0, oversample, r_block):
+            nr = min(r_block, oversample - r0)
+            X = buf[: b * nr * N].reshape(b, nr, N)
+            np.multiply(V[:, None, :], twist[None, r0 : r0 + nr], out=X)
+            np.fft.ifft(X, axis=2, out=X)
+            vals = np.abs(X, out=mag[: X.size].reshape(X.shape))
+            # entry (m, r) of each row, in grid order within the block
+            flat = grid[: X.size].reshape(b, N * nr)
+            flat.reshape(b, N, nr)[...] = vals.transpose(0, 2, 1)
+            i = flat.argmax(axis=1)
+            v = flat[np.arange(b), i]
+            j = i // nr * oversample + r0 + i % nr
+            prev, prev_j = lower[s : s + b], best_j[s : s + b]
+            take = (v > prev) | ((v == prev) & (j < prev_j))
+            prev[take] = v[take]
+            prev_j[take] = j[take]
+        absV = np.abs(V)
+        deriv[s : s + b] = (absV * n).sum(axis=1)
+        cap[s : s + b] = absV.sum(axis=1)
+    deriv *= 2.0 * math.pi / N
+    cap /= N
+    upper = np.minimum(np.minimum(lower * _secant(N // 2, K), lower + deriv / (2 * K)), cap)
     upper = np.maximum(upper, lower)  # guard against rounding inversions
-    return lower, upper, arg
+    return lower, upper, best_j / K
 
 
 def sup_modulated_average(u, oversample: int = 16, budget: float | None = None) -> Bracket:
@@ -229,21 +282,16 @@ def _sup_polyphase_2(u: np.ndarray, oversample: int, cap: float) -> Bracket:
     N = u.size
     K1, K2 = oversample * N, oversample * N * N
     n = np.arange(1, N + 1)
-    best = -1.0
-    best_j1 = best_j2 = 0
-    chunk = max(1, 4_000_000 // K1)
+    lower = np.empty(K2)
+    arg = np.empty(K2)
+    chunk = max(1, _POLY_CHUNK // N)
     for start in range(0, K2, chunk):
         j2 = np.arange(start, min(start + chunk, K2))
         # rows: u_n twisted by the quadratic phase at each t_2 grid value
         twisted = u[None, :] * np.exp(2j * np.pi * np.outer(j2 / K2, n * n % K2))
-        padded = np.zeros((j2.size, K1), dtype=np.complex128)
-        padded[:, 1 : N + 1] = twisted
-        vals = np.abs(np.fft.ifft(padded, axis=1)) * (K1 / N)
-        flat = int(np.argmax(vals))
-        r, c = divmod(flat, K1)
-        if vals[r, c] > best:
-            best = float(vals[r, c])
-            best_j1, best_j2 = c, int(j2[r])
+        lower[start : start + chunk], _, arg[start : start + chunk] = _grid_sup_rows(twisted, oversample)
+    best_j2 = int(np.argmax(lower))
+    best = float(lower[best_j2])
     n1c, n2c = N // 2, (N * N) // 2
     sec = _secant(n1c, K1) * _secant(n2c, K2)
     absu = np.abs(u)
@@ -251,7 +299,7 @@ def _sup_polyphase_2(u: np.ndarray, oversample: int, cap: float) -> Bracket:
     deriv2 = (2.0 * math.pi / N) * float((absu * n * n).sum())
     upper = min(best * sec, best + deriv1 / (2 * K1) + deriv2 / (2 * K2), cap)
     upper = max(upper, best)
-    return Bracket(best, upper, (best_j1 / K1, best_j2 / K2))
+    return Bracket(best, upper, (float(arg[best_j2]), best_j2 / K2))
 
 
 def _sup_polyphase_coarse(u: np.ndarray, degree: int, oversample: int, cap: float, budget) -> Bracket:

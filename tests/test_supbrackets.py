@@ -1,17 +1,25 @@
 """Certified sup brackets for modulated averages and trig polynomials."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wwlab.averages import ww_average
 from wwlab.supbrackets import (
+    _GRID_BLOCK,
     Bracket,
+    _grid_sup_rows,
+    _secant,
     modulated_mean,
     sup_modulated_average,
     sup_norm_trig,
     sup_polyphase,
 )
+from wwlab.systems import random_mean_zero, random_permutation
 
 
 def test_bracket_invariants():
@@ -129,3 +137,99 @@ def test_norm_trig_bracket_contains_samples(seed, deg):
     assert np.all(vals <= br.upper + 1e-9)
     # the reported lower bound is attained at the hint point
     assert abs(q(br.argmax_hint[0]) - br.lower) < 1e-8 * max(1.0, abs(br.lower))
+
+
+# -- the polyphase grid kernel against the zero-padded one -------------------
+
+
+def _padded_grid_oracle(U, oversample):
+    """The former kernel: one zero-padded K-point inverse FFT per row."""
+    rows, N = U.shape
+    K = oversample * N
+    padded = np.zeros((rows, K), dtype=np.complex128)
+    padded[:, 1 : N + 1] = U
+    values = np.abs(np.fft.ifft(padded, axis=1)) * (K / N)
+    lower = values.max(axis=1)
+    arg = values.argmax(axis=1) / K
+    absU = np.abs(U)
+    sec = _secant(N // 2, K)
+    deriv = (2.0 * math.pi / N) * (absU * np.arange(1, N + 1)).sum(axis=1)
+    cap = absU.sum(axis=1) / N
+    upper = np.minimum(np.minimum(lower * sec, lower + deriv / (2 * K)), cap)
+    return lower, np.maximum(upper, lower), arg
+
+
+def _kernel_rows(N, seed):
+    """Three complex rows, two real rows (|g(t)| = |g(-t)| ties mirror
+    points), a constant row and an all-zero row."""
+    rng = np.random.default_rng(seed)
+    return np.vstack([
+        rng.standard_normal((3, N)) + 1j * rng.standard_normal((3, N)),
+        rng.standard_normal((2, N)) + 0j,
+        np.full((1, N), 0.75 - 0.5j),
+        np.zeros((1, N), dtype=np.complex128),
+    ])
+
+
+@pytest.mark.parametrize("oversample", [4, 5, 16, 64])
+@pytest.mark.parametrize("N", [1, 2, 3, 7, 64, 100, 1024])
+def test_grid_kernel_matches_padded_oracle(N, oversample):
+    U = _kernel_rows(N, 1000 * N + oversample)
+    lower, upper, arg = _grid_sup_rows(U, oversample)
+    lo_ref, up_ref, arg_ref = _padded_grid_oracle(U, oversample)
+    # relative, absolute below 1
+    assert np.all(np.abs(lower - lo_ref) <= 1e-14 * np.maximum(1.0, lo_ref))
+    assert np.all(np.abs(upper - up_ref) <= 1e-14 * np.maximum(1.0, up_ref))
+    assert np.all(lower <= upper)
+    if N > 1:  # at N = 1 every grid point ties
+        assert np.array_equal(arg[:3], arg_ref[:3])
+    assert lower[-1] == upper[-1] == arg[-1] == 0.0
+    for u, lo, t in zip(U, lower, arg):
+        assert abs(abs(modulated_mean(u, (t,))) - lo) <= 1e-12 * max(1.0, lo)
+
+
+@pytest.mark.parametrize("oversample", [4, 5, 16, 64])
+@pytest.mark.parametrize("N", [1, 2, 3, 7, 64, 100, 1024])
+def test_grid_kernel_row_independent_of_batch(N, oversample):
+    # the batch spans more than one row block, and is passed both
+    # C-ordered and as a transposed view, as the recurrence callers do
+    U = _kernel_rows(N, 7 * N + oversample)
+    pad = _GRID_BLOCK // (oversample * N) + 1
+    rng = np.random.default_rng(N)
+    batch = np.vstack([rng.standard_normal((pad, N)) + 1j * rng.standard_normal((pad, N)), U])
+    for B in (batch, np.asfortranarray(batch)):
+        lower, upper, arg = _grid_sup_rows(B, oversample)
+        for i, u in enumerate(U):
+            alone = _grid_sup_rows(u[None, :], oversample)
+            assert (alone[0][0], alone[1][0], alone[2][0]) == (lower[pad + i], upper[pad + i], arg[pad + i])
+
+
+def test_polyphase_degree_two_matches_padded_oracle():
+    rng = np.random.default_rng(17)
+    N, oversample = 6, 16
+    u = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    K2 = oversample * N * N
+    n = np.arange(1, N + 1)
+    twisted = u[None, :] * np.exp(2j * np.pi * np.outer(np.arange(K2) / K2, n * n % K2))
+    lo_ref, _, arg_ref = _padded_grid_oracle(twisted, oversample)
+    row = int(np.argmax(lo_ref))
+    br = sup_polyphase(u, 2, oversample)
+    assert abs(br.lower - lo_ref[row]) <= 1e-14 * max(1.0, lo_ref[row])
+    assert br.argmax_hint == (arg_ref[row], row / K2)
+    assert abs(abs(modulated_mean(u, br.argmax_hint)) - br.lower) <= 1e-12
+    assert br.rel_width <= 0.01
+
+
+def test_strong_average_streams_point_chunks():
+    # with the orbit table built, a k = 1 average allocates only chunk-sized
+    # scratch, not the (points, N) sequence or its zero-padded transforms
+    system = random_permutation(4096, 1)
+    f = random_mean_zero(system, 1)
+    system.orbit_table(512)
+    tracemalloc.start()
+    try:
+        ww_average(system, f, 1, 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
