@@ -82,6 +82,6 @@ from .analysis import (
     precsim_fit,
     run_named_check,
 )
-from ._util import BudgetExceeded
+from ._util import BudgetExceeded, clear_memo
 
 __all__ = [name for name in dir() if not name.startswith("_")]

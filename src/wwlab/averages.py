@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_budget, fsum, pmap
+from ._util import check_budget, content_key, fsum, memo, pmap
 from .supbrackets import Bracket, _grid_sup_rows, sup_norm_trig
 from .systems import FiniteSystem, Observable
 
@@ -255,6 +255,11 @@ def _average_pipeline(
     tuples = list(itertools.product(*(range(1, r + 1) for r in ranges)))
     est = len(tuples) * system.size * (N * math.log2(max(oversample * N, 2)) * oversample + N)
     check_budget(est, budget, "cube average")
+    vertices = [assignment.mapping[bits] for bits in sorted(assignment.mapping)]
+    key = content_key(system, vertices, "cube average", N, tuple(ranges), oversample, kernel, norm_p, threads)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
 
     def one(h):
         F = cube_product(system, assignment, h)
@@ -267,7 +272,9 @@ def _average_pipeline(
     results = pmap(one, tuples, threads)
     lo = fsum(r[0] for r in results) / len(results)
     up = fsum(r[1] for r in results) / len(results)
-    return Bracket(lo, max(up, lo), ())
+    result = Bracket(lo, max(up, lo), ())  # frozen, so hits can share it
+    memo.put(key, result)
+    return result
 
 
 # -- public operations -------------------------------------------------------

@@ -14,9 +14,18 @@ once per companion and cycle for k >= 2; A is kept up to date rather than
 recomputed, and the coordinates are swept in fixed blocks: one matrix
 product gives every ascent direction of a block, a scalar loop applies the
 updates in natural order, coupled only through the block's Gram matrix,
-and one product pushes the block's changes into A.  The iterates are those
-of the plain one-coordinate-at-a-time sweep, up to rounding.  Tiny
-instances can be solved exactly over the real-sign class by enumeration.
+and one product pushes the block's changes into A.  The Gram rows below
+the diagonal, and the real diagonal, are turned into Python numbers once
+per kernel fill (once per call for k = 1), so the scalar loop reads them
+directly on every sweep.  The iterates are those of the plain
+one-coordinate-at-a-time sweep, up to rounding.  Tiny instances can be
+solved exactly over the real-sign class by enumeration.
+
+Results are memoised per process (see :mod:`wwlab._util`): a repeated
+call with the same system map and weights, observable values and numeric
+arguments returns a copy of the stored bracket without another ascent.
+The budget check still runs first; the key holds every argument but
+``budget``.
 
 Also here: fixed-function recurrence norms, polynomial-phase suprema of
 recurrence products, return-times weighted averages driven by a second
@@ -28,11 +37,11 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._util import check_budget, fsum, fsum_complex
+from ._util import check_budget, content_key, fsum, fsum_complex, memo
 from .supbrackets import Bracket, _grid_sup_rows, sup_polyphase
 from .systems import FiniteSystem, Observable
 
@@ -158,18 +167,23 @@ def _fill_kernel(K, f_seq, g_list, tables, idx, l: int, N: int) -> None:
 
 
 def _block_grams(K, w) -> list:
-    """Lower triangles of G = K_Y^H W K_Y for the blocks Y of columns of K.
+    """Gram rows of G = K_Y^H W K_Y for the blocks Y of columns of K.
 
-    Row i of a block's G, up to and including the diagonal, starts at
-    offset i (i + 1) / 2.  Matrix-vector products only: a matrix-matrix
-    product would make the BLAS library fault in its packing buffers.  The
-    blocks stay arrays; the sweep turns one at a time into Python numbers.
+    For each block, ``rows[i]`` holds G[i, :i] as Python complex numbers and
+    ``diag[i]`` the real G[i, i], ready for the scalar loop of the sweep.
+    Matrix-vector products only: a matrix-matrix product would make the
+    BLAS library fault in its packing buffers.
     """
     grams = []
     for s in range(0, K.shape[1], _BLOCK):
         Kb = K[:, s:s + _BLOCK]
         WKb = np.conj(w[:, None] * Kb)
-        grams.append(np.concatenate([WKb[:, i] @ Kb[:, :i + 1] for i in range(Kb.shape[1])]))
+        rows, diag = [], []
+        for i in range(Kb.shape[1]):
+            row = (WKb[:, i] @ Kb[:, :i + 1]).tolist()
+            diag.append(row.pop().real)
+            rows.append(row)
+        grams.append((rows, diag))
     return grams
 
 
@@ -181,15 +195,13 @@ def _sweep(K, grams, g, A, w, real_signs: bool) -> None:
     d_j of the earlier coordinates through the block's Gram matrix,
     c_i + sum_{j<i} G[i, j] d_j, and one product pushes d into A.
     """
-    for s, tri in zip(range(0, K.shape[1], _BLOCK), grams):
+    for s, (rows, diag) in zip(range(0, K.shape[1], _BLOCK), grams):
         Kb = K[:, s:s + _BLOCK]
         c = (np.conj(w * A) @ Kb).conj().tolist()
         gb = g[s:s + _BLOCK].tolist()
-        tri = tri.tolist()
         d = [0j] * len(gb)
         for i, gi in enumerate(gb):
-            o = i * (i + 1) // 2
-            ci = c[i] + sum(map(operator.mul, tri[o:o + i], d)) - tri[o + i].real * gi
+            ci = c[i] + sum(map(operator.mul, rows[i], d)) - diag[i] * gi
             if real_signs:
                 new = 1.0 if ci.real > 0 else (-1.0 if ci.real < 0 else gi)
             else:
@@ -218,7 +230,8 @@ def uniform_mrec_bracket(
     """Maximize the order-k recurrence norm over companions bounded by 1.
 
     Alternating maximization from seeded starts (plus the all-ones start);
-    the per-sweep objective trace is monotone by construction.  With
+    the per-sweep objective trace is monotone by construction.  Restarts
+    that tie up to a relative 1e-12 report the earliest one.  With
     ``brute_force`` the real-sign class {-1, +1}^points per companion is
     enumerated exactly instead (k <= 2 and small systems only).
     """
@@ -229,11 +242,6 @@ def uniform_mrec_bracket(
     if len(f) != system.size:
         raise ValueError("observable size does not match system")
     M = system.size
-    w = system.weights
-    cap = math.sqrt(fsum((w * np.abs(f.values) ** 2).tolist()))
-    tables = _step_tables(system, range(1, k + 1), N)
-    f_table = _step_tables(system, [k + 1], N)[0]
-
     if brute_force:
         if k > 2:
             raise ValueError("brute force supports k <= 2")
@@ -241,27 +249,53 @@ def uniform_mrec_bracket(
         if cases > _BRUTE_CASE_CAP:
             raise ValueError(f"brute force would enumerate {cases} cases (cap {_BRUTE_CASE_CAP})")
         check_budget(float(cases) * N * M, budget, "uniform_mrec_bracket brute force")
-        signs = np.array(list(itertools.product((-1.0, 1.0), repeat=M)))
-        best = -1.0
-        best_g = None
-        combos = itertools.product(range(signs.shape[0]), repeat=k)
-        for combo in combos:
-            gs = [signs[i] for i in combo]
-            acc = np.zeros(M, dtype=np.complex128)
-            for n in range(N):
-                term = f.values[f_table[n]].copy()
-                for g, tbl in zip(gs, tables):
-                    term = term * g[tbl[n]]
-                acc += term
-            val = fsum((w * np.abs(acc / N) ** 2).tolist())
-            if val > best:
-                best = val
-                best_g = [g.copy() for g in gs]
-        val = math.sqrt(best)
-        return MrecBracket(val, val, "brute", [np.asarray(g) for g in best_g], converged=True)
+    else:
+        est = (restarts + 1) * max_cycles * k * (float(N) * M + M * M)
+        check_budget(est, budget, "uniform_mrec_bracket")
+    key = content_key(system, [f], "uniform_mrec_bracket", k, N, restarts, seed, tol, max_cycles,
+                      real_signs, brute_force)
+    result = memo.get(key)
+    if result is None:
+        tables = _step_tables(system, range(1, k + 1), N)
+        f_table = _step_tables(system, [k + 1], N)[0]
+        if brute_force:
+            result = _brute_bracket(system, f, k, N, tables, f_table)
+        else:
+            result = _ascent_bracket(system, f, k, N, tables, f_table, restarts, seed, tol, max_cycles,
+                                     real_signs)
+        memo.put(key, result, sum(g.nbytes for g in result.witnesses) + 32 * len(result.trace))
+    # the stored result never leaves the memo, so callers may mutate theirs
+    return replace(result, witnesses=[g.copy() for g in result.witnesses], trace=list(result.trace))
 
-    est = (restarts + 1) * max_cycles * k * (float(N) * M + M * M)
-    check_budget(est, budget, "uniform_mrec_bracket")
+
+def _brute_bracket(system, f, k, N, tables, f_table) -> MrecBracket:
+    M = system.size
+    w = system.weights
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=M)))
+    best = -1.0
+    best_g = None
+    combos = itertools.product(range(signs.shape[0]), repeat=k)
+    for combo in combos:
+        gs = [signs[i] for i in combo]
+        acc = np.zeros(M, dtype=np.complex128)
+        for n in range(N):
+            term = f.values[f_table[n]].copy()
+            for g, tbl in zip(gs, tables):
+                term = term * g[tbl[n]]
+            acc += term
+        val = fsum((w * np.abs(acc / N) ** 2).tolist())
+        if val > best:
+            best = val
+            best_g = [g.copy() for g in gs]
+    val = math.sqrt(best)
+    return MrecBracket(val, val, "brute", [np.asarray(g) for g in best_g], converged=True)
+
+
+def _ascent_bracket(system, f, k, N, tables, f_table, restarts, seed, tol, max_cycles,
+                    real_signs) -> MrecBracket:
+    M = system.size
+    w = system.weights
+    cap = math.sqrt(fsum((w * np.abs(f.values) ** 2).tolist()))
     rng = np.random.default_rng(int(seed))
     K = np.empty((M, M), dtype=np.complex128, order="F")  # column blocks are views
     f_seq = f.values[f_table]
@@ -299,7 +333,9 @@ def uniform_mrec_bracket(
                 converged = True
                 break
             obj = obj_new
-        if obj > best_obj:
+        # restarts that tie in exact arithmetic (g and -g, a common phase)
+        # differ by rounding alone; keeping the earliest makes the choice stable
+        if obj > best_obj * (1 + 1e-12):
             best_obj = obj
             best_g = [g.copy() for g in g_list]
             best_trace = trace

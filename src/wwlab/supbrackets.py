@@ -40,6 +40,7 @@ higher degrees return flagged lower bounds only).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -139,6 +140,21 @@ def modulated_mean(u, coefficients) -> complex:
 # -- grid kernels ------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
+def _twist_table(N: int, oversample: int):
+    """Read-only n = 1..N and the twists e^{2 pi i n r / K}, r < oversample.
+
+    Built once per (N, oversample): for a single short row the table costs
+    about as much as the transforms.
+    """
+    K = oversample * N
+    n = np.arange(1, N + 1)
+    twist = np.exp((2j * math.pi / K) * (np.arange(oversample)[:, None] * n % K))
+    n.flags.writeable = False
+    twist.flags.writeable = False
+    return n, twist
+
+
 def _grid_sup_rows(U: np.ndarray, oversample: int):
     """Shared kernel: per-row bracket data for sup_t |(1/N) sum u_n e^{2 pi i n t}|.
 
@@ -157,8 +173,7 @@ def _grid_sup_rows(U: np.ndarray, oversample: int):
     """
     rows, N = U.shape
     K = oversample * N
-    n = np.arange(1, N + 1)
-    twist = np.exp((2j * math.pi / K) * (np.arange(oversample)[:, None] * n % K))
+    n, twist = _twist_table(N, oversample)
     if K <= _GRID_BLOCK:
         row_block, r_block = _GRID_BLOCK // K, oversample
     else:

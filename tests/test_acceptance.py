@@ -92,3 +92,30 @@ def test_run_all_selection():
 def test_run_all_rejects_unknown_numbers():
     with pytest.raises(ValueError):
         acceptance.run_all(only="14")
+
+
+def test_criterion_13_recomputes_every_run(monkeypatch):
+    # a memo hit on the second run would compare a result with itself
+    from wwlab import recurrence
+    from wwlab.systems import cyclic_shift, random_mean_zero
+
+    sweeps = []
+    real_sweep = recurrence._sweep
+
+    def counting_sweep(*args):
+        sweeps.append(1)
+        real_sweep(*args)
+
+    monkeypatch.setattr(recurrence, "_sweep", counting_sweep)
+    per_run = []
+
+    def probe(threads):
+        before = len(sweeps)
+        system = cyclic_shift(8)
+        m = recurrence.uniform_mrec_bracket(system, random_mean_zero(system, 3), 1, 16)
+        per_run.append(len(sweeps) - before)
+        return [repr(m.lower)]
+
+    monkeypatch.setattr(acceptance, "_digest", probe)
+    assert acceptance.criterion_13()[1]
+    assert len(per_run) == 4 and per_run[0] > 0 and len(set(per_run)) == 1

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wwlab._util import BudgetExceeded, clear_memo, memo
 from wwlab.averages import (
     CubeAssignment,
     CubeVertex,
@@ -20,6 +21,7 @@ from wwlab.averages import (
     zeta_transformed_assignment,
 )
 from wwlab.systems import (
+    FiniteSystem,
     Observable,
     character_observable,
     constant_observable,
@@ -121,6 +123,7 @@ def test_alt_with_sqrt_schedule_is_identical():
     system = cyclic_shift(11)
     f = random_mean_zero(system, 8)
     a = ww_average(system, f, 2, 36)
+    clear_memo()  # the two calls share a memo key; compute both
     b = ww_average_alt(system, f, 2, 36, ScheduleR.sqrt_schedule(1))
     assert (a.lower, a.upper) == (b.lower, b.upper)
 
@@ -130,8 +133,59 @@ def test_off_diagonal_diagonal_matches_strong():
     f = random_mean_zero(system, 2)
     asg = CubeAssignment.diagonal(f, 1)
     a = ww_average(system, f, 2, 25)
+    clear_memo()  # the two calls share a memo key; compute both
     b = off_diagonal_average(system, asg, 25)
     assert (a.lower, a.upper) == (b.lower, b.upper)
+
+
+def test_memo_tells_custom_systems_apart():
+    # both systems carry the default spec {"kind": "custom", "size": 6}
+    weights = np.full(6, 1.0 / 6)
+    one = FiniteSystem(weights, (np.arange(6) + 1) % 6)
+    two = FiniteSystem(weights, [1, 0, 3, 2, 5, 4])
+    assert one.spec == two.spec
+    f = random_mean_zero(one, 4)
+    a = ww_average(one, f, 2, 16)
+    b = ww_average(two, f, 2, 16)
+    assert len(memo) == 2
+    clear_memo()
+    fresh = ww_average(two, f, 2, 16)
+    assert (b.lower, b.upper) == (fresh.lower, fresh.upper)
+    assert (a.lower, a.upper) != (b.lower, b.upper)
+
+
+def test_memo_keys_threads_and_oversample(monkeypatch):
+    from wwlab import averages
+
+    system = cyclic_shift(11)
+    f = random_mean_zero(system, 8)
+    calls = []
+    real_kernel = averages._strong_kernel
+
+    def counting_kernel(*args):
+        calls.append(1)
+        return real_kernel(*args)
+
+    monkeypatch.setattr(averages, "_strong_kernel", counting_kernel)
+    a = ww_average(system, f, 2, 36)
+    per_call = len(calls)
+    assert ww_average(system, f, 2, 36) is a  # hit: no kernel call
+    assert len(calls) == per_call
+    b = ww_average(system, f, 2, 36, threads=2)
+    c = ww_average(system, f, 2, 36, oversample=8)
+    weak_ww_average(system, f, 2, 36)
+    assert len(calls) == 3 * per_call
+    assert len(memo) == 4
+    assert (a.lower, a.upper) == (b.lower, b.upper)
+    assert c.lower <= a.upper
+
+
+def test_memo_keeps_the_budget_guard():
+    system = cyclic_shift(11)
+    f = random_mean_zero(system, 8)
+    ww_average(system, f, 2, 36)
+    with pytest.raises(BudgetExceeded):
+        ww_average(system, f, 2, 36, budget=1.0)
 
 
 def test_order_one_scaling_law():

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from wwlab._util import fsum
+from wwlab import recurrence
+from wwlab._util import BudgetExceeded, fsum
 from wwlab.recurrence import (
     ExponentVector,
     _step_tables,
@@ -219,6 +220,16 @@ def _free_coordinates(system, f, k, N, gs, real_signs):
     return free
 
 
+def _earliest_best(runs):
+    """The run the bracket reports: a later restart replaces the best so far
+    only when it is higher by more than a relative 1e-12."""
+    best = runs[0]
+    for run in runs[1:]:
+        if run[0] > best[0] * (1 + 1e-12):
+            best = run
+    return best
+
+
 @pytest.mark.parametrize(
     "system, k, N, real_signs, has_free",
     [
@@ -241,19 +252,87 @@ def test_blocked_ascent_matches_per_coordinate_oracle(system, k, N, real_signs, 
     f = random_mean_zero(system, 2)
     br = uniform_mrec_bracket(system, f, k, N, seed=4, real_signs=real_signs)
     runs = _oracle_ascent(system, f, k, N, seed=4, real_signs=real_signs)
-    # restarts that tie for the best value (g and -g, or a common phase
-    # rotation, give the same objective) are told apart by rounding alone, so
-    # the reported restart may be any of them; its first value names it
-    best = max(obj for obj, _, _ in runs)
-    obj, witnesses, trace = next(r for r in runs if math.isclose(r[2][0], br.trace[0], rel_tol=1e-12))
-    assert obj >= best * (1 - 1e-12)
+    obj, witnesses, trace = _earliest_best(runs)
     assert len(br.trace) == len(trace)
     assert np.allclose(br.trace, trace, rtol=1e-12, atol=0.0)
-    assert br.lower == pytest.approx(math.sqrt(best), rel=1e-12)
+    assert br.lower == pytest.approx(math.sqrt(obj), rel=1e-12)
     free = _free_coordinates(system, f, k, N, witnesses, real_signs)
     assert free.any() == has_free
     for l, (got, want) in enumerate(zip(br.witnesses, witnesses)):
         assert np.max(np.abs(got - want)[~free[l]], initial=0.0) <= 1e-9
+
+
+def test_tied_restarts_report_the_earliest():
+    # g and -g reach the same optimum; rounding alone used to pick the restart
+    system = cyclic_shift(7)
+    f = random_mean_zero(system, 2)
+    br = uniform_mrec_bracket(system, f, 1, 16, seed=4, real_signs=True)
+    runs = _oracle_ascent(system, f, 1, 16, seed=4, real_signs=True)
+    first = next(i for i, r in enumerate(runs) if math.isclose(r[0], br.trace[-1], rel_tol=1e-12))
+    assert any(math.isclose(r[0], runs[first][0], rel_tol=1e-12) for r in runs[first + 1:])
+    assert len(br.trace) == len(runs[first][2]) == 4
+    assert np.allclose(br.trace, runs[first][2], rtol=1e-12, atol=0.0)
+    assert br.lower == math.sqrt(br.trace[-1])
+    for got, want in zip(br.witnesses, runs[first][1]):
+        assert np.array_equal(got, want)
+
+
+def _counting_sweeps(monkeypatch):
+    calls = []
+    real_sweep = recurrence._sweep
+
+    def counting_sweep(*args):
+        calls.append(1)
+        real_sweep(*args)
+
+    monkeypatch.setattr(recurrence, "_sweep", counting_sweep)
+    return calls
+
+
+def test_uniform_bracket_memo_hit_is_a_fresh_copy(monkeypatch):
+    system = cyclic_shift(8)
+    f = random_mean_zero(system, 5)
+    sweeps = _counting_sweeps(monkeypatch)
+    first = uniform_mrec_bracket(system, f, 1, 16)
+    done = len(sweeps)
+    kept = ([g.copy() for g in first.witnesses], list(first.trace))
+    first.witnesses[0][:] = 0.0
+    first.trace.append(-1.0)
+    again = uniform_mrec_bracket(system, f, 1, 16)
+    assert len(sweeps) == done  # served from the memo
+    assert again.lower == first.lower and again.converged == first.converged
+    assert all(np.array_equal(a, b) for a, b in zip(again.witnesses, kept[0]))
+    assert again.trace == kept[1]
+    again.witnesses[0][:] = 1.0
+    assert np.array_equal(uniform_mrec_bracket(system, f, 1, 16).witnesses[0], kept[0][0])
+
+
+@pytest.mark.parametrize("change", [{"seed": 1}, {"max_cycles": 3}, {"restarts": 1},
+                                    {"tol": 1e-6}, {"real_signs": True}, {"N": 15}])
+def test_uniform_bracket_memo_keys_every_argument(monkeypatch, change):
+    system = cyclic_shift(8)
+    f = random_mean_zero(system, 5)
+    args = {"N": 16, "restarts": 2, "seed": 0, "tol": 1e-9, "max_cycles": 60, "real_signs": False}
+    base = uniform_mrec_bracket(system, f, 1, **args)
+    sweeps = _counting_sweeps(monkeypatch)
+    args.update(change)
+    got = uniform_mrec_bracket(system, f, 1, **args)
+    assert sweeps  # recomputed, not served from the memo
+    assert len(recurrence.memo) == 2
+    assert base.trace != got.trace or change == {"tol": 1e-6}
+
+
+def test_uniform_bracket_memo_keeps_the_budget_guard():
+    system = cyclic_shift(8)
+    f = random_mean_zero(system, 5)
+    uniform_mrec_bracket(system, f, 1, 16)
+    with pytest.raises(BudgetExceeded):
+        uniform_mrec_bracket(system, f, 1, 16, budget=1.0)
+    small = cyclic_shift(4)
+    g = random_mean_zero(small, 7)
+    uniform_mrec_bracket(small, g, 1, 12, brute_force=True)
+    with pytest.raises(BudgetExceeded):
+        uniform_mrec_bracket(small, g, 1, 12, brute_force=True, budget=1.0)
 
 
 def test_uniform_bracket_converged_flag():
