@@ -4,7 +4,9 @@ A config names a system, observables, an operation, and an N schedule; the
 runner dispatches to the library, caches the per-N outputs under a content
 hash of the semantic fields, and renders tables, CSV/JSON reports, or
 log-log plot data.  Thread count and budget are resource knobs, not
-semantics, so they stay out of the hash.
+semantics, so they stay out of the hash.  A cached record also carries a
+digest of the numerics modules' source, so a record computed before an edit
+to the numerics is recomputed after it.
 
 Exit codes: 0 when everything ran and passed, 1 when a check or selftest
 reported a failure, 2 for configuration problems (including budget refusal).
@@ -13,6 +15,7 @@ reported a failure, 2 for configuration problems (including budget refusal).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import inspect
 import itertools
@@ -152,6 +155,7 @@ class ResultRecord:
     wall_time: float
     library_version: str
     config: dict
+    numerics_digest: str = ""  # stamped by cache_store; outside content()
 
     def content(self) -> dict:
         """The deterministic part: everything except timing."""
@@ -481,6 +485,21 @@ def _run_check(config: ExperimentConfig, threads: int, budget):
 
 # -- cache -------------------------------------------------------------------
 
+_NUMERICS_MODULES = ("systems", "supbrackets", "averages", "recurrence", "analysis", "boxes")
+
+
+@functools.cache
+def numerics_digest() -> str:
+    """blake2b of the numerics modules' source, read once per process."""
+    h = hashlib.blake2b(digest_size=16)
+    here = os.path.dirname(os.path.abspath(__file__))
+    for name in _NUMERICS_MODULES:
+        with open(os.path.join(here, f"{name}.py"), "rb") as fh:
+            source = fh.read()
+        h.update(f"{name}:{len(source)}:".encode())
+        h.update(source)
+    return h.hexdigest()
+
 
 def cache_lookup(cache_dir: str, config_hash: str, log=print):
     path = os.path.join(cache_dir, f"{config_hash}.json")
@@ -500,6 +519,9 @@ def cache_lookup(cache_dir: str, config_hash: str, log=print):
     if data.get("library_version") != __version__:
         log(f"cache: version {data.get('library_version')} != {__version__}, recomputing")
         return None
+    if data.get("numerics_digest") != numerics_digest():
+        log(f"cache: record computed by other numerics ({data.get('numerics_digest') or 'no digest'}), recomputing")
+        return None
     return ResultRecord(**data)
 
 
@@ -508,7 +530,7 @@ def cache_store(cache_dir: str, record: ResultRecord) -> str:
     path = os.path.join(cache_dir, f"{record.config_hash}.json")
     tmp = f"{path}.tmp-{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(asdict(record), fh, sort_keys=True)
+        json.dump({**asdict(record), "numerics_digest": numerics_digest()}, fh, sort_keys=True)
     os.replace(tmp, path)
     return path
 

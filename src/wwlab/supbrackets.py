@@ -11,11 +11,36 @@ Modulated averages are read on the K = oversample * N point grid t = j / K
 without a K-point transform.  Writing j = m * oversample + r, the value at
 t is entry m of the N-point inverse DFT of the twisted row
 u_n e^{2 pi i n r / K}, whose 1/N normalisation is already the average; so
-each row costs ``oversample`` N-point transforms and no zero padding.  One
+each offset r costs one N-point transform and no zero padding.  One
 kernel, ``_grid_sup_rows``, does this for batches of rows in blocks that
 stay in cache, keeping per row the grid maximum and its first index in
 grid order; every strong average, the degree-2 polynomial phase search
 (one row per t_2 grid value) and the recurrence suprema go through it.
+
+Coarse to fine: the kernel transforms the even offsets r = 0, 2, 4, ... of
+every row, then an odd offset only where a certified bound lets one of its
+points reach the maximum v found so far.  An odd grid point t lies midway
+between two even ones at distance 1/K: (m, r - 1) and (m, r + 1), or
+(m, O - 2) and (m + 1 mod N, 0) for r = O - 1 with O = oversample even.
+Let p be the row's average as a function of t, and p~ it recentred to
+degree n_c = N // 2 (|p~| = |p|).  For the real polynomial
+q = Re(alpha p~) with alpha aligning the phase at t, the midpoint
+interpolation remainder (h^2 / 8) sup |q''| with h = 2 / K and Bernstein's
+inequality sup |q''| <= (2 pi n_c)^2 sup |p| give
+
+    |p(t)|  <=  (|p(t - 1/K)| + |p(t + 1/K)|) / 2  +  beta * S,
+    beta = 2 pi^2 n_c^2 / K^2  <=  pi^2 / (2 O^2),
+
+where S = min(v sec(2 pi n_c / K), triangle cap) bounds sup |p|, since
+every t is within 1/K of an even point.  An odd offset is transformed only
+if some m on it has |p_L| + |p_R| >= 2 (v - beta S - 1e-9 cap); the margin
+covers the rounding of the transforms (Higham, Accuracy and Stability of
+Numerical Algorithms, sec. 24.1: a few units of log2(N) * eps * sqrt(N) *
+cap per entry) many times over.  Every point left out lies strictly below
+the maximum, and every value compared is the one the full grid computes
+(same twist, same N-point transform), so the maximum and its first grid
+index are those of the full grid, bit for bit.  At oversample 16 a random
+row needs about 1.8 of its 8 odd offsets.
 
 Upper bound certificates
 ------------------------
@@ -40,18 +65,20 @@ higher degrees return flagged lower bounds only).
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_budget, fsum_complex
+from ._util import _Memo, check_budget, fsum_complex
 
 _MAX_CERTIFIED_DEGREE = 2
 _MIN_OVERSAMPLE = 4
 _GRID_BLOCK = 1 << 15  # complex entries per transform block (512 KiB)
 _POLY_CHUNK = 1 << 18  # complex entries per chunk of twisted rows in sup_polyphase
+_TWIST_BYTES = 8 << 20  # capacity of the twist-table cache
+
+_twists = _Memo(_TWIST_BYTES)
 
 
 @dataclass(frozen=True)
@@ -140,19 +167,23 @@ def modulated_mean(u, coefficients) -> complex:
 # -- grid kernels ------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=64)
 def _twist_table(N: int, oversample: int):
     """Read-only n = 1..N and the twists e^{2 pi i n r / K}, r < oversample.
 
-    Built once per (N, oversample): for a single short row the table costs
-    about as much as the transforms.
+    Kept in a least-recently-used table capped at _TWIST_BYTES: for a single
+    short row the table costs about as much as the transforms.
     """
-    K = oversample * N
-    n = np.arange(1, N + 1)
-    twist = np.exp((2j * math.pi / K) * (np.arange(oversample)[:, None] * n % K))
-    n.flags.writeable = False
-    twist.flags.writeable = False
-    return n, twist
+    key = (N, oversample)
+    hit = _twists.get(key)
+    if hit is None:
+        K = oversample * N
+        n = np.arange(1, N + 1)
+        twist = np.exp((2j * math.pi / K) * (np.arange(oversample)[:, None] * n % K))
+        n.flags.writeable = False
+        twist.flags.writeable = False
+        hit = (n, twist)
+        _twists.put(key, hit, n.nbytes + twist.nbytes)
+    return hit
 
 
 def _grid_sup_rows(U: np.ndarray, oversample: int):
@@ -167,49 +198,96 @@ def _grid_sup_rows(U: np.ndarray, oversample: int):
     of u_n e^{2 pi i n r / K} placed at position n - 1 (the placement only
     multiplies the entry by e^{-2 pi i m / N}, which leaves its modulus
     alone), and the 1/N of the inverse transform is the average itself.
-    Rows and offsets r go through in blocks of about _GRID_BLOCK entries,
-    each row copied to contiguous memory first, so a row's results do not
-    depend on the batch it arrives in.
+    Every row goes through the even offsets r; an odd offset is transformed
+    only where the midpoint certificate (module docstring) lets one of its
+    points reach the row's maximum, and every other odd point lies strictly
+    below it, so the outputs are those of the full grid.  Transforms go in
+    blocks of about _GRID_BLOCK entries, from U made C-contiguous, so a
+    row's results do not depend on the batch it arrives in.  A block's
+    moduli at the even offsets are kept until its odd offsets are screened:
+    for rows longer than _GRID_BLOCK / ceil(O / 2) that is about
+    8 (O + 1) N bytes of scratch.
     """
+    U = np.ascontiguousarray(U, dtype=np.complex128)  # rows are gathered again below
     rows, N = U.shape
     K = oversample * N
     n, twist = _twist_table(N, oversample)
-    if K <= _GRID_BLOCK:
-        row_block, r_block = _GRID_BLOCK // K, oversample
+    even = twist[0::2]
+    ne = even.shape[0]
+    if ne * N <= _GRID_BLOCK:
+        row_block, e_block = _GRID_BLOCK // (ne * N), ne
     else:
-        row_block, r_block = 1, max(1, _GRID_BLOCK // N)
+        row_block, e_block = 1, max(1, _GRID_BLOCK // N)
     row_block = min(row_block, rows)
-    buf = np.empty(row_block * r_block * N, dtype=np.complex128)
-    mag = np.empty(buf.size)
-    grid = np.empty(buf.size)
-    lower = np.full(rows, -1.0)
-    best_j = np.zeros(rows, dtype=np.intp)
+    pair_block = max(1, _GRID_BLOCK // N)
+    buf = np.empty(max(row_block * e_block, min(pair_block, rows * ne)) * N, dtype=np.complex128)
+    # |.| at the even offsets of a row block, then a row holding the
+    # neighbours (m + 1 mod N, 0) of (m, O - 2); and sums of adjacent rows
+    ext = np.empty(max(row_block * (ne + 1), min(pair_block, rows * ne)) * N)
+    sums = np.empty(row_block * ne * N)
+    # per row and offset r: the maximum over m and its first m (odd offsets
+    # left untransformed keep -1)
+    cand_v = np.full((rows, oversample), -1.0)
+    cand_m = np.zeros((rows, oversample), dtype=np.intp)
+    pair_max = np.empty((rows, ne))  # column c: max over m of the sums at odd offset 2c + 1
+    # (row, column) index grids; a max over m is read at its argmax, which is
+    # cheaper than a second reduction when N is small
+    at_row, at_col = np.arange(row_block)[:, None], np.arange(ne)
     deriv = np.empty(rows)
     cap = np.empty(rows)
     for s in range(0, rows, row_block):
-        V = np.ascontiguousarray(U[s : s + row_block], dtype=np.complex128)
+        V = U[s : s + row_block]
         b = V.shape[0]
-        for r0 in range(0, oversample, r_block):
-            nr = min(r_block, oversample - r0)
+        E = ext[: b * (ne + 1) * N].reshape(b, ne + 1, N)
+        for e0 in range(0, ne, e_block):
+            nr = min(e_block, ne - e0)
             X = buf[: b * nr * N].reshape(b, nr, N)
-            np.multiply(V[:, None, :], twist[None, r0 : r0 + nr], out=X)
+            np.multiply(V[:, None, :], even[None, e0 : e0 + nr], out=X)
             np.fft.ifft(X, axis=2, out=X)
-            vals = np.abs(X, out=mag[: X.size].reshape(X.shape))
-            # entry (m, r) of each row, in grid order within the block
-            flat = grid[: X.size].reshape(b, N * nr)
-            flat.reshape(b, N, nr)[...] = vals.transpose(0, 2, 1)
-            i = flat.argmax(axis=1)
-            v = flat[np.arange(b), i]
-            j = i // nr * oversample + r0 + i % nr
-            prev, prev_j = lower[s : s + b], best_j[s : s + b]
-            take = (v > prev) | ((v == prev) & (j < prev_j))
-            prev[take] = v[take]
-            prev_j[take] = j[take]
+            np.abs(X, out=E[:, e0 : e0 + nr])
+        if oversample % 2 == 0:  # (m, O - 1) lies between (m, O - 2) and (m + 1 mod N, 0)
+            E[:, ne, :-1] = E[:, 0, 1:]
+            E[:, ne, -1] = E[:, 0, 0]
+        else:  # O - 1 is even: no odd offset wraps
+            E[:, ne] = -np.inf
+        m = E.argmax(axis=2)[:, :ne]  # over all of E: argmax copies a non-contiguous slice
+        cand_m[s : s + b, 0::2] = m
+        cand_v[s : s + b, 0::2] = E[at_row[:b], at_col, m]
+        S = np.add(E[:, :-1], E[:, 1:], out=sums[: b * ne * N].reshape(b, ne, N))
+        pair_max[s : s + b] = S[at_row[:b], at_col, S.argmax(axis=2)]
         absV = np.abs(V)
         deriv[s : s + b] = (absV * n).sum(axis=1)
         cap[s : s + b] = absV.sum(axis=1)
     deriv *= 2.0 * math.pi / N
     cap /= N
+    # an odd point can reach the maximum only if its neighbours' mean plus
+    # the midpoint remainder does; the margin covers transform rounding
+    lower = cand_v[:, 0::2].max(axis=1)
+    n_c = N // 2
+    beta = 2.0 * (math.pi * n_c / K) ** 2
+    s_up = np.minimum(lower * _secant(2 * n_c, K), cap)
+    floor = 2.0 * (lower - beta * s_up - 1e-9 * cap)
+    pair_row, pair_col = np.nonzero(pair_max >= floor[:, None])
+    if pair_row.size:
+        pair_r = 2 * pair_col + 1
+        tw = np.empty(min(pair_block, pair_row.size) * N, dtype=np.complex128)
+        for p0 in range(0, pair_row.size, pair_block):
+            row, r = pair_row[p0 : p0 + pair_block], pair_r[p0 : p0 + pair_block]
+            X = buf[: row.size * N].reshape(row.size, N)
+            T = tw[: X.size].reshape(X.shape)
+            # gathered in place: mode="raise" would buffer the output
+            np.take(U, row, axis=0, out=X, mode="clip")
+            np.take(twist, r, axis=0, out=T, mode="clip")
+            np.multiply(X, T, out=X)
+            np.fft.ifft(X, axis=1, out=X)
+            vals = np.abs(X, out=ext[: X.size].reshape(X.shape))
+            cand_v[row, r] = vals.max(axis=1)
+            cand_m[row, r] = vals.argmax(axis=1)
+    # the largest value wins, then the first grid index j = m * oversample + r
+    lower = cand_v.max(axis=1)
+    cand_m *= oversample
+    cand_m += np.arange(oversample)
+    best_j = np.where(cand_v == lower[:, None], cand_m, K).min(axis=1)
     upper = np.minimum(np.minimum(lower * _secant(N // 2, K), lower + deriv / (2 * K)), cap)
     upper = np.maximum(upper, lower)  # guard against rounding inversions
     return lower, upper, best_j / K

@@ -1,11 +1,15 @@
 """Config parsing, the experiment runner, caching, reports, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import wwlab.analysis
+from wwlab import cli
 from wwlab.analysis import CheckRow, InequalityCheck
 from wwlab.cli import (
     ConfigError,
@@ -171,6 +175,33 @@ def test_cache_version_mismatch_recomputes(tmp_path):
     notices = []
     assert cache_lookup(str(tmp_path), rec.config_hash, log=notices.append) is None
     assert any("version" in msg for msg in notices)
+
+
+def test_cache_recomputes_records_from_other_numerics(tmp_path, monkeypatch):
+    rec = _tiny_record()
+    path = cache_store(str(tmp_path), rec)
+    assert cache_lookup(str(tmp_path), rec.config_hash).numerics_digest == cli.numerics_digest()
+    monkeypatch.setattr(cli, "numerics_digest", lambda: "0" * 32)
+    notices = []
+    assert cache_lookup(str(tmp_path), rec.config_hash, log=notices.append) is None
+    assert any("numerics" in msg for msg in notices)
+    # a record written before records carried a digest is recomputed too
+    monkeypatch.undo()
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    del data["numerics_digest"]
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+    assert cache_lookup(str(tmp_path), rec.config_hash, log=notices.append) is None
+    # the digest stays out of the deterministic content
+    assert "numerics_digest" not in rec.content()
+
+
+def test_numerics_digest_is_not_computed_at_import():
+    code = "import wwlab.cli as c; print(c.numerics_digest.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "0"
 
 
 def test_cache_quarantines_corrupt_records(tmp_path):

@@ -9,11 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wwlab.averages import ww_average
+from wwlab import supbrackets
 from wwlab.supbrackets import (
     _GRID_BLOCK,
+    _TWIST_BYTES,
     Bracket,
     _grid_sup_rows,
     _secant,
+    _twist_table,
     modulated_mean,
     sup_modulated_average,
     sup_norm_trig,
@@ -202,6 +205,157 @@ def test_grid_kernel_row_independent_of_batch(N, oversample):
         for i, u in enumerate(U):
             alone = _grid_sup_rows(u[None, :], oversample)
             assert (alone[0][0], alone[1][0], alone[2][0]) == (lower[pad + i], upper[pad + i], arg[pad + i])
+
+
+def _all_offsets_oracle(U, oversample):
+    """The former kernel: all ``oversample`` N-point transforms of every row."""
+    rows, N = U.shape
+    K = oversample * N
+    n = np.arange(1, N + 1)
+    twist = np.exp((2j * math.pi / K) * (np.arange(oversample)[:, None] * n % K))
+    if K <= _GRID_BLOCK:
+        row_block, r_block = _GRID_BLOCK // K, oversample
+    else:
+        row_block, r_block = 1, max(1, _GRID_BLOCK // N)
+    row_block = min(row_block, rows)
+    lower = np.full(rows, -1.0)
+    best_j = np.zeros(rows, dtype=np.intp)
+    deriv = np.empty(rows)
+    cap = np.empty(rows)
+    for s in range(0, rows, row_block):
+        V = np.ascontiguousarray(U[s : s + row_block], dtype=np.complex128)
+        b = V.shape[0]
+        for r0 in range(0, oversample, r_block):
+            nr = min(r_block, oversample - r0)
+            X = V[:, None, :] * twist[None, r0 : r0 + nr]
+            np.fft.ifft(X, axis=2, out=X)
+            flat = np.ascontiguousarray(np.abs(X).transpose(0, 2, 1)).reshape(b, N * nr)
+            i = flat.argmax(axis=1)
+            v = flat[np.arange(b), i]
+            j = i // nr * oversample + r0 + i % nr
+            prev, prev_j = lower[s : s + b], best_j[s : s + b]
+            take = (v > prev) | ((v == prev) & (j < prev_j))
+            prev[take] = v[take]
+            prev_j[take] = j[take]
+        absV = np.abs(V)
+        deriv[s : s + b] = (absV * n).sum(axis=1)
+        cap[s : s + b] = absV.sum(axis=1)
+    deriv *= 2.0 * math.pi / N
+    cap /= N
+    upper = np.minimum(np.minimum(lower * _secant(N // 2, K), lower + deriv / (2 * K)), cap)
+    return lower, np.maximum(upper, lower), best_j / K
+
+
+def _assert_same_bits(U, oversample):
+    got = _grid_sup_rows(U, oversample)
+    ref = _all_offsets_oracle(U, oversample)
+    for name, a, b in zip(("lower", "upper", "argmax"), got, ref):
+        assert np.array_equal(a, b), (name, np.flatnonzero(a != b))
+
+
+@pytest.mark.parametrize("oversample", [4, 5, 16, 64])
+@pytest.mark.parametrize("N", [1, 2, 3, 7, 8, 64, 100, 256, 1024, 1100])
+def test_grid_kernel_matches_all_offsets_oracle_bit_for_bit(N, oversample):
+    # N = 1100 at oversample 64 splits a row's even offsets over two blocks
+    rng = np.random.default_rng(N * oversample)
+    U = np.vstack([_kernel_rows(N, 31 * N + oversample), np.exp(2j * np.pi * rng.random((4, N)))])
+    _assert_same_bits(U, oversample)
+
+
+def _odd_points(N, oversample):
+    """Every odd r at m = 0, the wrap point j = K - 1 (m = N - 1, r = O - 1),
+    and two more odd points."""
+    K = oversample * N
+    return list(range(1, oversample, 2)) + [K - 1, K - oversample + 1, (N // 2) * oversample + 1]
+
+
+def _peaked_rows(N, oversample, seed):
+    """Rows whose |average| peaks at odd-offset grid points: exactly on them,
+    exactly on them with noisy amplitudes, 0.4 grid steps past them on a
+    two-frequency row (whose |average| bends about as sharply as Bernstein's
+    inequality allows, so one neighbour alone does not certify the point),
+    and two equal peaks at odd points of different offsets."""
+    rng = np.random.default_rng(seed)
+    K = oversample * N
+    n = np.arange(1, N + 1)
+    odd_j = _odd_points(N, oversample)
+    rows = [np.exp(-2j * np.pi * n * j / K) for j in odd_j]
+    rows += [np.exp(-2j * np.pi * n * j / K) * (1 + 0.05 * rng.standard_normal(N)) for j in odd_j]
+    if N > 1:
+        for j in odd_j:
+            row = np.zeros(N, dtype=np.complex128)
+            row[0], row[-1] = 1.0, np.exp(-2j * np.pi * (N - 1) * (j + 0.4) / K)
+            rows.append(row)
+        j1, j2 = 1, (N // 2) * oversample + oversample - 1
+        rows.append(np.exp(-2j * np.pi * n * j1 / K) + np.exp(-2j * np.pi * n * j2 / K))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("oversample", [4, 5, 16, 17])
+@pytest.mark.parametrize("N", [1, 2, 3, 8, 64, 100])
+def test_grid_kernel_finds_peaks_on_odd_offsets(N, oversample):
+    U = _peaked_rows(N, oversample, N + oversample)
+    _assert_same_bits(U, oversample)
+    if N > 2:  # the peak itself is the maximum of its row
+        j = np.rint(_grid_sup_rows(U, oversample)[2] * oversample * N).astype(int)
+        expect = _odd_points(N, oversample)
+        assert list(j[: len(expect)]) == expect
+
+
+def _exact_tie_rows(oversample, count):
+    """Single-sample rows (N = 1, so every grid value is |u| up to rounding)
+    whose first grid maximum is at an odd offset while an even offset holds
+    the same value exactly."""
+    rng = np.random.default_rng(oversample)
+    found = []
+    while len(found) < count:
+        u = rng.standard_normal((64, 1)) + 1j * rng.standard_normal((64, 1))
+        lower, _, arg = _all_offsets_oracle(u, oversample)
+        # at N = 1 grid point r is u e^{2 pi i r / K} itself
+        vals = np.abs(u * np.exp((2j * math.pi / oversample) * np.arange(oversample)))
+        for row, v, lo, t in zip(u, vals, lower, arg):
+            if round(t * oversample) % 2 == 1 and np.any(v[0::2] == lo):
+                found.append(row)
+    return np.array(found[:count])
+
+
+@pytest.mark.parametrize("oversample", [4, 5, 16])
+def test_grid_kernel_breaks_exact_ties_by_first_grid_index(oversample):
+    U1 = _exact_tie_rows(oversample, 4)
+    arg = _grid_sup_rows(U1, oversample)[2]
+    assert np.all(np.rint(arg * oversample).astype(int) % 2 == 1)
+    _assert_same_bits(U1, oversample)
+    # N = 2 with u_2 = 0: every value also ties between m = 0 and m = 1
+    U2 = np.hstack([U1, np.zeros_like(U1)])
+    _assert_same_bits(U2, oversample)
+
+
+def test_grid_kernel_skips_most_odd_offsets(monkeypatch):
+    # 256 random unimodular rows at N = 1024: the even offsets (8 of 16) plus
+    # the odd ones the certificate cannot rule out, under 11 per row
+    rows = []
+    ifft = np.fft.ifft
+
+    def counting_ifft(a, *args, **kwargs):
+        rows.append(a.size // a.shape[-1])
+        return ifft(a, *args, **kwargs)
+
+    monkeypatch.setattr(supbrackets.np.fft, "ifft", counting_ifft)
+    U = np.exp(2j * np.pi * np.random.default_rng(0).random((256, 1024)))
+    _grid_sup_rows(U, 16)
+    assert sum(rows) / 256 <= 11
+
+
+def test_twist_tables_are_read_only_and_capped_in_bytes():
+    n, twist = _twist_table(64, 16)
+    assert _twist_table(64, 16)[1] is twist
+    assert not n.flags.writeable and not twist.flags.writeable
+    for N in range(4096, 4096 + 12):  # 1 MiB each at oversample 16
+        _twist_table(N, 16)
+    assert supbrackets._twists._bytes <= _TWIST_BYTES
+    assert len(supbrackets._twists) < 12
+    big = _twist_table(1 << 16, 16)[1]  # 16 MiB: built, not kept
+    assert big.shape == (16, 1 << 16) and _twist_table(1 << 16, 16)[1] is not big
 
 
 def test_polyphase_degree_two_matches_padded_oracle():
