@@ -38,7 +38,6 @@ from .averages import (
 )
 from .recurrence import (
     ExponentVector,
-    _step_tables,
     companion_weights,
     intermediate_F,
     polyphase_mrec_sup,
@@ -471,9 +470,9 @@ def _check_maximal(system=None, f=None, p: float = 2.0, N_cap=None, seed: int = 
     if p <= 1:
         raise ValueError("exponent must exceed 1")
     N_cap = N_cap if N_cap is not None else 4 * system.size
-    tbl = system.orbit_table(N_cap)
-    samples = vals.real[tbl[1:]]  # row n-1 holds f o T^n
-    running = np.cumsum(samples, axis=0) / np.arange(1, N_cap + 1)[:, None]
+    n = np.arange(1, N_cap + 1)
+    samples = vals.real[system.orbit_indices(slice(None), 1, n[:, None])]  # row n-1 holds f o T^n
+    running = np.cumsum(samples, axis=0) / n[:, None]
     m = running.max(axis=0)
     lhs = fsum((system.weights * m**p).tolist()) ** (1.0 / p)
     rhs = p / (p - 1.0) * fsum((system.weights * vals.real**p).tolist()) ** (1.0 / p)
@@ -861,11 +860,7 @@ def _check_intermediate_F_ptwise(
         if N <= exponents.first_abs**2:
             raise ValueError("need N > a_1^2")
         W = companion_weights(system_y, g_list, b_steps, N)
-        tables = _step_tables(system, exponents.entries, N)
-        S = np.ones((N, system.size), dtype=np.complex128)
-        for fj, tbl in zip(functions, tables):
-            for n in range(N):
-                S[n] *= np.asarray(fj.values)[tbl[n]]
+        S = companion_weights(system, functions, exponents.entries, N)
         A = S.T @ W / N  # point x by companion point y
         lhs_x = np.sqrt((np.abs(A) ** 2 * system_y.weights[None, :]).sum(axis=1))
         dom = intermediate_F(system, functions, exponents, K, N, oversample, budget=budget)
@@ -1038,13 +1033,14 @@ class ReturnTimesWeights:
     def sequence(self, N: int) -> np.ndarray:
         if not 0 <= self.y_point < self.system_y.size:
             raise ValueError("companion point out of range")
-        tables = _step_tables(self.system_y, self.steps, N)
-        w = np.ones(N, dtype=np.complex128)
-        for g, tbl in zip(self.g_list, tables):
-            vals = np.asarray(g.values)
-            for n in range(N):
-                w[n] *= vals[tbl[n][self.y_point]]
-        return w
+        n = np.arange(1, N + 1)
+        w = [1 + 0j] * N
+        for g, b in zip(self.g_list, self.steps):
+            vals = np.asarray(g.values)[self.system_y.orbit_indices(self.y_point, b, n)]
+            # scalar products: numpy's vectorised complex product fuses
+            # multiply-adds, which rounds differently on some CPUs
+            w = [p * v for p, v in zip(w, vals.tolist())]
+        return np.array(w, dtype=np.complex128)
 
 
 @dataclass
@@ -1094,20 +1090,17 @@ def hilbert_partial_sums(
     if N_max < 1:
         raise ValueError("N_max must be >= 1")
     check_budget(float(N_max) * (system.size + 2), what="hilbert_partial_sums")
-    tables = _step_tables(system, exponents.entries, N_max)
+    n = np.arange(1, N_max + 1)
     scalars = np.ones(N_max, dtype=np.complex128)
-    for f, tbl in zip(functions, tables):
-        vals = np.asarray(f.values)
-        if len(vals) != system.size:
+    for f, a in zip(functions, exponents.entries):
+        if len(f) != system.size:
             raise ValueError("observable size does not match system")
-        idx = np.array([tbl[n][x_point] for n in range(N_max)])
-        scalars *= vals[idx]
+        scalars *= f.values[system.orbit_indices(x_point, a, n)]
     if weights is None:
         w = np.ones(N_max, dtype=np.complex128)
     else:
         w = weights.sequence(N_max)
-    n = np.arange(1, N_max + 1, dtype=np.float64)
-    terms = w * scalars / n**sigma
+    terms = w * scalars / n.astype(np.float64) ** sigma
     sums = np.cumsum(terms)
     return HilbertSums(label, sigma, [(int(i + 1), complex(sums[i])) for i in range(N_max)])
 

@@ -199,12 +199,12 @@ def cube_product(system: FiniteSystem, assignment: CubeAssignment, h) -> Observa
 
 def _strong_kernel(system: FiniteSystem, values: np.ndarray, N: int, oversample: int, norm_p: int):
     """(lower, upper) of || sup_t |(1/N) sum_n e^{2 pi i n t} F(T^n x)| ||_p."""
-    orbit = system.orbit_table(N)
+    points, n = np.arange(system.size)[:, None], np.arange(1, N + 1)
     chunk = max(1, _POINT_CHUNK_BUDGET // N)
     lows = np.empty(system.size)
     ups = np.empty(system.size)
     for start in range(0, system.size, chunk):
-        seq = values[orbit[1 : N + 1, start : start + chunk].T]  # (points, N)
+        seq = values[system.orbit_indices(points[start : start + chunk], 1, n)]  # (points, N), C-ordered
         lows[start : start + chunk], ups[start : start + chunk], _ = _grid_sup_rows(seq, oversample)
     w = system.weights
     if norm_p == 2:
@@ -225,8 +225,7 @@ def _weak_kernel(system: FiniteSystem, values: np.ndarray, N: int, oversample: i
     (N - |d|) / N^2 * rho(d) at frequency d, where rho is the
     autocorrelation of F along T.
     """
-    orbit = system.orbit_table(N)
-    shifted = values[orbit[:N]]  # rows d = 0..N-1
+    shifted = values[system.orbit_indices(slice(None), 1, np.arange(N)[:, None])]  # rows d = 0..N-1
     rho = (shifted * np.conjugate(values)[None, :] * system.weights[None, :]).sum(axis=1)
     coeff = np.empty(2 * N - 1, dtype=np.complex128)
     d = np.arange(N)

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._util import check_budget, content_key, fsum, fsum_complex, memo
+from .averages import CubeAssignment, cube_product
 from .supbrackets import Bracket, _grid_sup_rows, sup_polyphase
 from .systems import FiniteSystem, Observable
 
@@ -98,15 +99,8 @@ class MrecBracket:
 
 def _step_tables(system: FiniteSystem, steps, N: int) -> list:
     """Index tables t[n-1] = T^{a n} for n = 1..N, one per step a."""
-    tables = []
-    for a in steps:
-        base = system.power_indices(int(a))
-        tbl = np.empty((N, system.size), dtype=np.int64)
-        tbl[0] = base
-        for n in range(1, N):
-            tbl[n] = base[tbl[n - 1]]
-        tables.append(tbl)
-    return tables
+    n = np.arange(1, N + 1)[:, None]
+    return [system.orbit_indices(slice(None), a, n) for a in steps]
 
 
 def multiple_recurrence_average(
@@ -125,12 +119,8 @@ def multiple_recurrence_average(
         if len(f) != system.size:
             raise ValueError("observable size does not match system")
     check_budget(float(N) * system.size * len(functions), what="multiple_recurrence_average")
-    tables = _step_tables(system, exponents.entries, N)
     acc = np.zeros(system.size, dtype=np.complex128)
-    for n in range(N):
-        term = np.ones(system.size, dtype=np.complex128)
-        for f, tbl in zip(functions, tables):
-            term = term * f.values[tbl[n]]
+    for term in companion_weights(system, functions, exponents.entries, N):  # in order of n, not pairwise
         acc += term
     avg = acc / N
     w = system.weights
@@ -274,14 +264,14 @@ def _brute_bracket(system, f, k, N, tables, f_table) -> MrecBracket:
     signs = np.array(list(itertools.product((-1.0, 1.0), repeat=M)))
     best = -1.0
     best_g = None
-    combos = itertools.product(range(signs.shape[0]), repeat=k)
-    for combo in combos:
+    f_seq = f.values[f_table]
+    for combo in itertools.product(range(signs.shape[0]), repeat=k):
         gs = [signs[i] for i in combo]
+        terms = f_seq
+        for g, tbl in zip(gs, tables):
+            terms = terms * g[tbl]
         acc = np.zeros(M, dtype=np.complex128)
-        for n in range(N):
-            term = f.values[f_table[n]].copy()
-            for g, tbl in zip(gs, tables):
-                term = term * g[tbl[n]]
+        for term in terms:  # in order of n
             acc += term
         val = fsum((w * np.abs(acc / N) ** 2).tolist())
         if val > best:
@@ -368,12 +358,10 @@ def polyphase_mrec_sup(
     M = system.size
     check_budget(float(M) * oversample ** phase_degree * float(N) ** (phase_degree * (phase_degree + 1) // 2 + 1),
                  budget, "polyphase_mrec_sup")
-    tables = _step_tables(system, exponents.entries, N)
-    seq = np.ones((N, M), dtype=np.complex128)
-    for f, tbl in zip(functions, tables):
-        for n in range(N):
-            seq[n] *= f.values[tbl[n]]
-    seq = seq.T  # (points, N)
+    points, n = np.arange(M)[:, None], np.arange(1, N + 1)
+    seq = np.ones((M, N), dtype=np.complex128)  # one orbit per row
+    for f, a in zip(functions, exponents.entries):
+        seq *= f.values[system.orbit_indices(points, a, n)]
     if phase_degree == 1:
         lo, up, _ = _grid_sup_rows(seq, oversample)
     else:
@@ -404,13 +392,12 @@ def companion_weights(systemY: FiniteSystem, g_list, steps, N: int) -> np.ndarra
     """W[n-1, y] = prod_k g_k(S^{b_k n} y) for n = 1..N."""
     if len(g_list) != len(steps):
         raise ValueError("need one companion observable per step")
+    if any(len(g) != systemY.size for g in g_list):
+        raise ValueError("companion size does not match system")
     W = np.ones((N, systemY.size), dtype=np.complex128)
-    tables = _step_tables(systemY, steps, N)
-    for g, tbl in zip(g_list, tables):
-        if len(g) != systemY.size:
-            raise ValueError("companion size does not match system")
-        for n in range(N):
-            W[n] *= g.values[tbl[n]]
+    n = np.arange(1, N + 1)[:, None]
+    for g, b in zip(g_list, steps):
+        W *= g.values[systemY.orbit_indices(slice(None), b, n)]  # one step table at a time
     return W
 
 
@@ -427,8 +414,8 @@ def return_times_average(
     """Observable y -> (1/N) sum_n g(S^{P(n)} y) prod_j f_j(T^{a_j n} x).
 
     P is an integer-coefficient polynomial (constant first).  Orbit
-    positions are reduced modulo cycle lengths, so large P(n) values cost
-    nothing.
+    positions are reduced modulo cycle lengths in exact integer arithmetic,
+    so large P(n) values and exponents a_j cost nothing.
     """
     if len(g) != systemY.size:
         raise ValueError("weight observable size does not match its system")
@@ -440,16 +427,11 @@ def return_times_average(
         raise ValueError("N must be >= 1")
     check_budget(float(N) * (systemY.size + len(functions)), what="return_times_average")
     # scalar factors along the X orbit
-    systemX._ensure_cycles()
-    cyc = systemX._cycles[int(systemX._cycle_id[x_point])]
-    pos = int(systemX._cycle_pos[x_point])
     scalars = np.ones(N, dtype=np.complex128)
     for f, a in zip(functions, exponents.entries):
         if len(f) != systemX.size:
             raise ValueError("observable size does not match base system")
-        idx = (pos + (np.arange(1, N + 1, dtype=object) * a))
-        idx = np.array([int(i % cyc.size) for i in idx])
-        scalars *= f.values[cyc[idx]]
+        scalars *= f.values[systemX.orbit_indices(x_point, a, np.arange(1, N + 1))]
     acc = np.zeros(systemY.size, dtype=np.complex128)
     for n in range(1, N + 1):
         perm = systemY.power_indices(_poly_eval_int(poly_coeffs, n))
@@ -503,22 +485,16 @@ def intermediate_F(
     tuples = list(itertools.product(range(1, H + 1), repeat=K_order - 1))
     check_budget(len(tuples) * float(M) * N * oversample * max(1.0, math.log2(oversample * N)),
                  budget, "intermediate_F")
-    tables = _step_tables(system, exponents.entries, N)
+    points, n = np.arange(M)[:, None], np.arange(1, N + 1)
+    tables = [system.orbit_indices(points, a, n) for a in exponents.entries]  # one orbit per row
     lo_acc = np.zeros(M)
     up_acc = np.zeros(M)
     for h in tuples:
-        seq = np.ones((N, M), dtype=np.complex128)
+        seq = np.ones((M, N), dtype=np.complex128)
         for (f, a, tbl) in zip(functions, exponents.entries, tables):
-            cube = np.ones(M, dtype=np.complex128)
-            for bits in itertools.product((0, 1), repeat=K_order - 1):
-                shift = a * sum(b * x for b, x in zip(bits, h))
-                gv = f.values[system.power_indices(shift)]
-                if sum(bits) % 2 == 1:
-                    gv = np.conjugate(gv)
-                cube = cube * gv
-            for n in range(N):
-                seq[n] *= cube[tbl[n]]
-        lo, up, _ = _grid_sup_rows(seq.T, oversample)
+            cube = cube_product(system, CubeAssignment.diagonal(f, K_order - 1), [a * x for x in h])
+            seq *= cube.values[tbl]
+        lo, up, _ = _grid_sup_rows(seq, oversample)
         lo_acc += lo
         up_acc += up
     lo_acc /= len(tuples)

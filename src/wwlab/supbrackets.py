@@ -404,19 +404,21 @@ def _sup_polyphase_coarse(u: np.ndarray, degree: int, oversample: int, cap: floa
         total *= g
     check_budget(float(total) * N, budget, "sup_polyphase coarse search")
     n = np.arange(1, N + 1, dtype=float)
+    # the outer grids in plain nested order, innermost axis via FFT; the
+    # twisted rows go through the kernel in chunks, first maximum kept
+    outer_axes = [np.arange(g) / g for g in grids[1:]]
+    combos = np.stack([m.ravel() for m in np.meshgrid(*outer_axes, indexing="ij")], axis=1)
+    chunk = max(1, _POLY_CHUNK // N)
     best = -1.0
     best_t: tuple = ()
-    # iterate the outer grids in plain nested order; innermost axis via FFT
-    outer_axes = [np.arange(g) / g for g in grids[1:]]
-    mesh = np.meshgrid(*outer_axes, indexing="ij") if outer_axes else []
-    combos = np.stack([m.ravel() for m in mesh], axis=1) if outer_axes else np.zeros((1, 0))
-    for row in combos:
-        phase = np.zeros(N)
-        for j, t in enumerate(row, start=2):
-            phase = phase + t * n**j
-        twisted = u * np.exp(2j * np.pi * phase)
-        lower, _, arg = _grid_sup_rows(twisted[None, :], oversample)
-        if float(lower[0]) > best:
-            best = float(lower[0])
-            best_t = (float(arg[0]), *map(float, row))
+    for start in range(0, combos.shape[0], chunk):
+        rows = combos[start : start + chunk]
+        phase = np.zeros((rows.shape[0], N))
+        for j in range(2, degree + 1):
+            phase = phase + rows[:, j - 2, None] * n**j
+        lower, _, arg = _grid_sup_rows(u[None, :] * np.exp(2j * np.pi * phase), oversample)
+        i = int(np.argmax(lower))
+        if float(lower[i]) > best:
+            best = float(lower[i])
+            best_t = (float(arg[i]), *map(float, rows[i]))
     return Bracket(best, max(cap, best), best_t, certified=False)

@@ -21,6 +21,14 @@ Builders
     every point fixed.
 
 Products compose any two systems on the index i = a * size_b + b.
+
+Orbits are read from cycle coordinates: ``flat`` lists the cycles, each
+from its smallest point and in the order of those points, and a point x has
+the ``start`` of its cycle there, its position ``pos`` on it and the cycle
+``length``, so T^{a n} x = flat[start + (pos + a n) mod length].  Every
+orbit reader (averaging kernels, recurrence step tables, Hilbert sums,
+return times, ``power_indices``, ``iterate``) gathers through
+``FiniteSystem.orbit_indices`` for the points and counts it needs.
 """
 from __future__ import annotations
 
@@ -48,9 +56,10 @@ class FiniteSystem:
     spec : dict, optional
         Serializable description of how the system was built.
 
-    The instance is immutable after construction.  Orbit tables and the
-    cycle decomposition are cached internally; rebuilding them is idempotent
-    so no locking is needed when instances are shared between threads.
+    The instance is immutable after construction.  Its cycle coordinates
+    (module docstring) are built on first use and published array by array,
+    the ready mark last, so no locking is needed when instances are shared
+    between threads.
     """
 
     def __init__(self, weights, forward_map, spec: dict | None = None):
@@ -74,9 +83,10 @@ class FiniteSystem:
         self._forward = fwd
         self._forward.flags.writeable = False
         self.spec = dict(spec) if spec else {"kind": "custom", "size": int(w.size)}
-        self._cycles: list[np.ndarray] | None = None
-        self._cycle_id: np.ndarray | None = None
+        self._cycle_flat: np.ndarray | None = None
+        self._cycle_start: np.ndarray | None = None
         self._cycle_pos: np.ndarray | None = None
+        self._cycle_len: np.ndarray | None = None
         self._orbit_cache: dict[int, np.ndarray] = {}
 
     # -- basic introspection -------------------------------------------------
@@ -99,43 +109,65 @@ class FiniteSystem:
     # -- cycle structure -----------------------------------------------------
 
     def _ensure_cycles(self) -> None:
-        if self._cycles is not None:
+        """Cycle coordinates by pointer doubling: O(size log size) array work,
+        each round doubling the stretch of orbit every point has seen."""
+        if self._cycle_len is not None:
             return
-        n = self.size
-        seen = np.zeros(n, dtype=bool)
-        cycles: list[np.ndarray] = []
-        cid = np.empty(n, dtype=np.int64)
-        cpos = np.empty(n, dtype=np.int64)
-        for start in range(n):
-            if seen[start]:
-                continue
-            orbit = [start]
-            seen[start] = True
-            j = int(self._forward[start])
-            while j != start:
-                orbit.append(j)
-                seen[j] = True
-                j = int(self._forward[j])
-            arr = np.asarray(orbit, dtype=np.int64)
-            for pos, idx in enumerate(orbit):
-                cid[idx] = len(cycles)
-                cpos[idx] = pos
-            cycles.append(arr)
-        # ``_cycles`` is the "ready" sentinel other threads test, so it is
-        # published last: whoever sees it set also sees both index arrays
-        self._cycle_id = cid
-        self._cycle_pos = cpos
-        self._cycles = cycles
+        fwd = self._forward
+        points = np.arange(self.size)
+        # least point of the windows x .. T^{2^r - 1} x; when a round changes
+        # nothing the windows of a T^{2^r}-orbit cover the cycle
+        low, jump = points, fwd
+        while True:
+            wider = np.minimum(low, low[jump])
+            if np.array_equal(wider, low):
+                break
+            low, jump = wider, jump[jump]
+        # list ranking: steps from x to the cycle's last point, whose image is `low`
+        last = fwd == low
+        dist = (~last).astype(np.int64)
+        nxt = np.where(last, points, fwd)
+        while not last[nxt].all():
+            dist += dist[nxt]
+            nxt = nxt[nxt]
+        length = dist[low] + 1
+        pos = dist[low] - dist
+        # cycles in the order of their smallest points, concatenated: a
+        # cycle starts after the cycles of all smaller heads
+        start = (np.cumsum(np.where(low == points, length, 0)) - length)[low]
+        flat = np.empty(self.size, dtype=np.int64)
+        flat[start + pos] = points
+        # ``_cycle_len`` is the "ready" sentinel other threads test, so it is
+        # published last: whoever sees it set also sees the other arrays
+        self._cycle_flat = flat
+        self._cycle_start = start
+        self._cycle_pos = pos
+        self._cycle_len = length
+
+    def orbit_indices(self, points, a: int, n) -> np.ndarray:
+        """Index array of T^{a n} x, read from the cycle coordinates.
+
+        ``points`` (an int, a slice or an integer array) and the counts ``n``
+        broadcast against each other: a column of points against a row of
+        counts gives one orbit per row.  Any integer ``a`` is reduced exactly
+        modulo each cycle length; a n stays exact while |n| size < 2**63.
+        """
+        self._ensure_cycles()
+        length = self._cycle_len[points]
+        a = int(a)
+        if not -(1 << 63) <= a < 1 << 63:  # past int64: reduce once per distinct length
+            lens, inv = np.unique(length, return_inverse=True)
+            a = np.array([a % int(L) for L in lens])[inv].reshape(np.shape(length))
+        q = np.asarray(np.multiply(np.remainder(a, length), n))
+        q += self._cycle_pos[points]
+        np.remainder(q, length, out=q)
+        q += self._cycle_start[points]
+        # gathered in place: each entry is read before it is overwritten
+        return np.take(self._cycle_flat, q, out=q, mode="clip")
 
     def power_indices(self, n: int) -> np.ndarray:
         """Index array of T^n, valid for any integer ``n`` (Python ints ok)."""
-        self._ensure_cycles()
-        out = np.empty(self.size, dtype=np.int64)
-        for cyc in self._cycles:
-            L = cyc.size
-            pos = np.arange(L)
-            out[cyc] = cyc[(pos + (n % L)) % L]
-        return out
+        return self.orbit_indices(slice(None), n, 1)
 
     def orbit_table(self, n_max: int) -> np.ndarray:
         """Rows 0..n_max of the iteration table; row n is T^n as an index array."""
@@ -144,12 +176,9 @@ class FiniteSystem:
         cached = self._orbit_cache.get(n_max)
         if cached is not None:
             return cached
-        table = np.empty((n_max + 1, self.size), dtype=np.int64)
-        table[0] = np.arange(self.size)
-        for n in range(1, n_max + 1):
-            table[n] = self._forward[table[n - 1]]
+        table = self.orbit_indices(slice(None), 1, np.arange(n_max + 1)[:, None])
         table.flags.writeable = False
-        # keep only the largest table to bound memory
+        # keep only the most recent table to bound memory
         self._orbit_cache = {n_max: table}
         return table
 
@@ -160,10 +189,7 @@ def iterate(system: FiniteSystem, point: int, n: int) -> int:
         raise ValueError(f"point {point} out of range for size {system.size}")
     if abs(n) > 2**63:
         raise ValueError("iteration count out of supported range")
-    system._ensure_cycles()
-    cyc = system._cycles[int(system._cycle_id[point])]
-    pos = int(system._cycle_pos[point])
-    return int(cyc[(pos + n) % cyc.size])
+    return int(system.orbit_indices(point, n, 1))
 
 
 # -- builders ----------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Decay fitting, domination witnesses, the check registry, and Hilbert sums."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from wwlab.analysis import (
     run_named_check,
 )
 from wwlab.recurrence import ExponentVector
-from wwlab.systems import constant_observable, cyclic_shift, identity_system
+from wwlab.systems import constant_observable, cyclic_shift, identity_system, random_mean_zero, random_permutation
 
 
 # -- series containers --------------------------------------------------------
@@ -212,3 +213,39 @@ def test_hilbert_criterion_validation():
         hilbert_criterion([(N, 1.0) for N in range(2, 65)], 0.9)  # no N = 1
     with pytest.raises(ValueError):
         hilbert_criterion(avgs, 0.9, window=(30, 40))  # too few points / doublings
+
+
+def test_hilbert_partial_sums_read_one_orbit():
+    # the sums at one base point read that point's orbit only: no table of
+    # every point's orbit (here 2049 x 4096 int64, 67 MB)
+    system = random_permutation(4096, 3)
+    f, g = random_mean_zero(system, 1), random_mean_zero(system, 2)
+    weights = ReturnTimesWeights(system, 11, (g,), (3,))
+    tracemalloc.start()
+    try:
+        hilbert_partial_sums(system, 5, [f, g], ExponentVector((1, 2)), 0.9, 2048, weights=weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 30), st.integers(0, 10**6), st.sampled_from([1, -2, 3, 2**62 + 1]), st.integers(1, 90))
+def test_pointwise_orbit_readers_match_a_walk(size, seed, a, N):
+    # return-times weights and Hilbert sums at one point against products
+    # taken one n at a time along T^{a n} y, found by walking the forward map
+    system = random_permutation(size, seed)
+    f, g = random_mean_zero(system, seed), random_mean_zero(system, seed + 1)
+    y = seed % size
+    orbit = [y]
+    while (z := int(system.forward[orbit[-1]])) != y:
+        orbit.append(z)
+    walk = [orbit[(a * n) % len(orbit)] for n in range(1, N + 1)]
+    w = ReturnTimesWeights(system, y, (g, f), (a, 1)).sequence(N)
+    walk1 = [orbit[n % len(orbit)] for n in range(1, N + 1)]
+    expected = [complex(g.values[i]) * complex(f.values[j]) for i, j in zip(walk, walk1)]
+    assert w.tolist() == expected
+    sums = hilbert_partial_sums(system, y, [f], ExponentVector((a,)), 1.0, N)
+    terms = f.values[walk] / np.arange(1, N + 1)
+    assert np.array_equal(sums.values, np.cumsum(terms))

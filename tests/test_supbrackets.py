@@ -375,11 +375,10 @@ def test_polyphase_degree_two_matches_padded_oracle():
 
 
 def test_strong_average_streams_point_chunks():
-    # with the orbit table built, a k = 1 average allocates only chunk-sized
-    # scratch, not the (points, N) sequence or its zero-padded transforms
+    # a k = 1 average allocates only chunk-sized scratch: no orbit table,
+    # no (points, N) sequence, no zero-padded transforms
     system = random_permutation(4096, 1)
     f = random_mean_zero(system, 1)
-    system.orbit_table(512)
     tracemalloc.start()
     try:
         ww_average(system, f, 1, 512)
@@ -387,3 +386,42 @@ def test_strong_average_streams_point_chunks():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def _coarse_loop_oracle(u, degree, oversample):
+    """Degree >= 3 coarse search one outer grid point at a time, in nested order."""
+    N = u.size
+    grids = [oversample * N**j for j in range(1, degree + 1)]
+    n = np.arange(1, N + 1, dtype=float)
+    mesh = np.meshgrid(*[np.arange(g) / g for g in grids[1:]], indexing="ij")
+    best, best_t = -1.0, ()
+    for row in np.stack([m.ravel() for m in mesh], axis=1):
+        phase = np.zeros(N)
+        for j, t in enumerate(row, start=2):
+            phase = phase + t * n**j
+        lower, _, arg = _grid_sup_rows((u * np.exp(2j * np.pi * phase))[None, :], oversample)
+        if float(lower[0]) > best:
+            best, best_t = float(lower[0]), (float(arg[0]), *map(float, row))
+    return best, best_t
+
+
+@pytest.mark.parametrize("degree, N, kind", [
+    (3, 1, "random"), (3, 2, "random"), (3, 3, "random"), (3, 4, "random"), (3, 3, "flat"), (4, 1, "random"),
+])
+def test_coarse_polyphase_matches_row_by_row_search(monkeypatch, degree, N, kind):
+    # stacked rows give every row's bits, and the first maximum in nested
+    # order wins across chunk boundaries; "flat" rows (one nonzero entry)
+    # tie at every grid point, so the very first row must win
+    rng = np.random.default_rng(100 * degree + N)
+    if kind == "flat":
+        u = np.zeros(N, dtype=complex)
+        u[-1] = 0.5 - 0.25j
+    else:
+        u = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    best, best_t = _coarse_loop_oracle(u, degree, 4)
+    for rows in (None, 3, 64):
+        if rows is not None:
+            monkeypatch.setattr(supbrackets, "_POLY_CHUNK", rows * N)
+        br = sup_polyphase(u, degree, 4)
+        assert (br.lower, br.argmax_hint) == (best, best_t)
+        assert not br.certified

@@ -21,6 +21,7 @@ from wwlab.systems import (
     product_system,
     random_mean_zero,
     random_permutation,
+    rotation_approx,
     shift_observable,
     skew_product,
     spectral_coefficient,
@@ -41,8 +42,8 @@ def test_cyclic_shift_orbit():
 
 
 def test_cycle_tables_published_before_ready_sentinel():
-    # a concurrent iterate() proceeds as soon as it sees _cycles set, so the
-    # index arrays it then reads must already be in place
+    # a concurrent reader proceeds as soon as it sees _cycle_len set, so the
+    # other cycle arrays it then reads must already be in place
     class Recording(FiniteSystem):
         def __setattr__(self, name, value):
             if name.startswith("_cycle"):
@@ -53,9 +54,119 @@ def test_cycle_tables_published_before_ready_sentinel():
     system = Recording(base.weights, base.forward)
     system.log.clear()
     system._ensure_cycles()
-    assert [name for name, _ in system.log] == ["_cycle_id", "_cycle_pos", "_cycles"]
+    assert [name for name, _ in system.log] == ["_cycle_flat", "_cycle_start", "_cycle_pos", "_cycle_len"]
     assert not any(was_none for _, was_none in system.log)
     assert iterate(system, 0, 9) == 0
+
+
+def _loop_cycles(system):
+    """Cycle ids and positions from a plain walk: cycles in the order of
+    their smallest points, positions counted from that point."""
+    n = system.size
+    seen = np.zeros(n, dtype=bool)
+    cid = np.empty(n, dtype=np.int64)
+    cpos = np.empty(n, dtype=np.int64)
+    count = 0
+    for start in range(n):
+        if seen[start]:
+            continue
+        j, pos = start, 0
+        while not seen[j]:
+            seen[j] = True
+            cid[j], cpos[j] = count, pos
+            j, pos = int(system.forward[j]), pos + 1
+        count += 1
+    return cid, cpos
+
+
+_CYCLE_SYSTEMS = [
+    random_permutation(1, 0), random_permutation(2, 0), random_permutation(50, 3), random_permutation(997, 1),
+    identity_system(1), identity_system(40), cyclic_shift(1), cyclic_shift(64), rotation_approx(30, 7),
+    skew_product(6), product_system(cyclic_shift(4), random_permutation(9, 2)),
+    FiniteSystem(np.full(8, 0.125), [1, 0, 3, 2, 5, 6, 4, 7]),
+]
+
+
+@pytest.mark.parametrize("system", _CYCLE_SYSTEMS, ids=repr)
+def test_cycle_coordinates_match_loop_decomposition(system):
+    cid, cpos = _loop_cycles(system)
+    system._ensure_cycles()
+    starts, ids = np.unique(system._cycle_start, return_inverse=True)
+    assert np.array_equal(ids.ravel(), cid)
+    assert np.array_equal(system._cycle_pos, cpos)
+    assert np.array_equal(system._cycle_len, np.bincount(cid)[cid])
+    # flat lists every cycle from its smallest point, cycles by that point
+    points = np.arange(system.size)
+    assert np.array_equal(system._cycle_flat[system._cycle_start + system._cycle_pos], points)
+    assert np.array_equal(system._cycle_flat[starts], np.flatnonzero(cpos == 0))
+
+
+def _walk_orbit(system, x):
+    """x, T x, T^2 x, ... around its cycle, by following the forward map."""
+    orbit = [x]
+    while (y := int(system.forward[orbit[-1]])) != x:
+        orbit.append(y)
+    return orbit
+
+
+_STEPS = st.sampled_from([-3, -2, -1, 0, 1, 2, 3, 2**62 + 1])
+
+
+@st.composite
+def _systems(draw):
+    kind = draw(st.sampled_from(["random", "identity", "cycle", "product"]))
+    size = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 10**6))
+    if kind == "random":
+        return random_permutation(size, seed)
+    if kind == "identity":
+        return identity_system(size)
+    if kind == "cycle":
+        return cyclic_shift(size)
+    return product_system(cyclic_shift(draw(st.integers(1, 6))), random_permutation(draw(st.integers(1, 8)), seed))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_systems(), _STEPS, st.data())
+def test_orbit_indices_follow_the_forward_map(system, a, data):
+    x = data.draw(st.integers(0, system.size - 1))
+    orbit = _walk_orbit(system, x)
+    L = len(orbit)
+    n = np.arange(-L, 3 * L + 1)
+    expected = [orbit[(a * int(m)) % L] for m in n]
+    assert system.orbit_indices(x, a, n).tolist() == expected
+    # a column of points against a row of counts: one orbit per row
+    points = np.arange(system.size)
+    span = np.arange(3 * int(system._cycle_len.max()) + 1)
+    table = system.orbit_indices(points[:, None], a, span)
+    for y in points:
+        walk = _walk_orbit(system, int(y))
+        assert table[y].tolist() == [walk[(a * int(m)) % len(walk)] for m in span]
+    # all points against a column of counts: row n is T^{a n}
+    assert np.array_equal(system.orbit_indices(slice(None), a, span[:, None]), table.T)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_systems(), _STEPS, st.integers(-7, 7))
+def test_power_indices_follow_the_forward_map(system, a, m):
+    exponent = a * m  # up to 7 (2**62 + 1), past the int64 range
+    got = system.power_indices(exponent)
+    for x in range(system.size):
+        orbit = _walk_orbit(system, x)
+        assert got[x] == orbit[exponent % len(orbit)]
+        if abs(exponent) <= 2**63:  # the range iterate() accepts
+            assert iterate(system, x, exponent) == got[x]
+
+
+def test_orbit_table_wraps_the_primitive():
+    system = random_permutation(30, 5)
+    table = system.orbit_table(12)
+    assert table.shape == (13, 30) and table.flags.c_contiguous and not table.flags.writeable
+    for n in range(13):
+        assert np.array_equal(table[n], system.power_indices(n))
+    assert system.orbit_table(12) is table  # the most recent table is kept
+    system.orbit_table(3)
+    assert list(system._orbit_cache) == [3]
 
 
 def test_measure_preservation():
