@@ -334,6 +334,8 @@ def precsim_fit(
 
 # -- the named-check registry ------------------------------------------------
 
+_MAXIMAL_CHUNK = 1 << 16  # samples per chunk of lengths in the maximal check (512 KiB)
+
 _POLICY_BRACKETS = "lhs at bracket upper, rhs at bracket lower"
 _POLICY_EXACT = "both sides exact"
 _POLICY_M_LHS = "lhs is the optimizer lower bound (certified upper is only the triangle cap)"
@@ -470,10 +472,18 @@ def _check_maximal(system=None, f=None, p: float = 2.0, N_cap=None, seed: int = 
     if p <= 1:
         raise ValueError("exponent must exceed 1")
     N_cap = N_cap if N_cap is not None else 4 * system.size
-    n = np.arange(1, N_cap + 1)
-    samples = vals.real[system.orbit_indices(slice(None), 1, n[:, None])]  # row n-1 holds f o T^n
-    running = np.cumsum(samples, axis=0) / n[:, None]
-    m = running.max(axis=0)
+    check_budget(float(N_cap) * system.size, what="maximal")
+    # lengths in chunks: a running sum and a running maximum per point
+    total = np.zeros(system.size)
+    m = np.full(system.size, -np.inf)
+    step = max(1, _MAXIMAL_CHUNK // system.size)
+    for start in range(1, N_cap + 1, step):
+        n = np.arange(start, min(start + step, N_cap + 1))[:, None]
+        sums = vals.real[system.orbit_indices(slice(None), 1, n)]  # row i holds f o T^(start+i)
+        sums[0] += total  # the carry: every sum adds in the order one pass over all n would
+        np.cumsum(sums, axis=0, out=sums)
+        total = sums[-1].copy()
+        np.maximum(m, (sums / n).max(axis=0), out=m)
     lhs = fsum((system.weights * m**p).tolist()) ** (1.0 / p)
     rhs = p / (p - 1.0) * fsum((system.weights * vals.real**p).tolist()) ** (1.0 / p)
     row = CheckRow(N_cap, lhs, rhs, _ratio(lhs, rhs), rhs - lhs, rhs - lhs, f"p={p:g}")

@@ -17,30 +17,31 @@ stay in cache, keeping per row the grid maximum and its first index in
 grid order; every strong average, the degree-2 polynomial phase search
 (one row per t_2 grid value) and the recurrence suprema go through it.
 
-Coarse to fine: the kernel transforms the even offsets r = 0, 2, 4, ... of
-every row, then an odd offset only where a certified bound lets one of its
-points reach the maximum v found so far.  An odd grid point t lies midway
-between two even ones at distance 1/K: (m, r - 1) and (m, r + 1), or
-(m, O - 2) and (m + 1 mod N, 0) for r = O - 1 with O = oversample even.
-Let p be the row's average as a function of t, and p~ it recentred to
-degree n_c = N // 2 (|p~| = |p|).  For the real polynomial
-q = Re(alpha p~) with alpha aligning the phase at t, the midpoint
-interpolation remainder (h^2 / 8) sup |q''| with h = 2 / K and Bernstein's
-inequality sup |q''| <= (2 pi n_c)^2 sup |p| give
+Coarse to fine over dyadic levels: the kernel transforms the base offsets
+r = 0 (mod s), s the largest power of two <= O / 4 (about a 4N-point
+grid), then for h = s / 2, ..., 1 the offsets r = h (mod 2h), each only
+for the rows where a certified bound lets it reach the maximum v found so
+far.  A point of offset r lies a = h grid steps right of offset r - h and
+b = h steps left of offset r + h, or, when r + h >= O, b = O - r steps
+left of (m + 1, 0).  With p the row's average as a function of t, p~ it
+recentred to degree n_c = N // 2 (|p~| = |p|) and q = Re(alpha p~) aligned
+at the point, linear interpolation leaves a remainder of at most
+(a b / 2K^2) sup |q''|, and Bernstein's inequality gives
+sup |q''| <= (2 pi n_c)^2 sup |p|, so
 
-    |p(t)|  <=  (|p(t - 1/K)| + |p(t + 1/K)|) / 2  +  beta * S,
+    |p(t)|  <=  (b |p_L| + a |p_R|) / (a + b)  +  a b beta S,
     beta = 2 pi^2 n_c^2 / K^2  <=  pi^2 / (2 O^2),
 
-where S = min(v sec(2 pi n_c / K), triangle cap) bounds sup |p|, since
-every t is within 1/K of an even point.  An odd offset is transformed only
-if some m on it has |p_L| + |p_R| >= 2 (v - beta S - 1e-9 cap); the margin
-covers the rounding of the transforms (Higham, Accuracy and Stability of
-Numerical Algorithms, sec. 24.1: a few units of log2(N) * eps * sqrt(N) *
-cap per entry) many times over.  Every point left out lies strictly below
-the maximum, and every value compared is the one the full grid computes
-(same twist, same N-point transform), so the maximum and its first grid
-index are those of the full grid, bit for bit.  At oversample 16 a random
-row needs about 1.8 of its 8 odd offsets.
+where S = min(v sec(2 pi n_c h / K), triangle cap) bounds sup |p|, since
+every t lies within h / K of the spacing-2h offsets, whose points are all
+at most v (those left out were certified below it).  Over the neighbour
+offsets' maxima in m the bound covers a whole offset, which is transformed
+for a row only if the bound reaches v - 1e-9 cap and otherwise keeps it as
+its maximum for the next level; the margin covers transform rounding
+(Higham, Accuracy and Stability of Numerical Algorithms, sec. 24.1) many
+times over.  Every point left out lies strictly below the maximum and every
+value compared is the one the full grid computes (same twist, same N-point
+transform), so the outputs are those of the full grid, bit for bit.
 
 Upper bound certificates
 ------------------------
@@ -65,6 +66,7 @@ higher degrees return flagged lower bounds only).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -167,8 +169,34 @@ def modulated_mean(u, coefficients) -> complex:
 # -- grid kernels ------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=32)
+def _refinement(oversample: int):
+    """(order, base, levels): offset order[c] (a column) sits in slot c of
+    the kernel's tables, the first ``base`` slots are the base, and level
+    (h, slots, source, weights) bounds each new slot by the weighted sum of
+    its two neighbours and beta S in slot O (module docstring)."""
+    s = 1 << ((oversample // 4).bit_length() - 1)
+    order = list(range(0, oversample, s))
+    base, levels = len(order), []
+    for h in [s >> i for i in range(1, s.bit_length())]:
+        new = range(h, oversample, 2 * h)
+        source = np.full((3, len(new)), oversample)
+        weights = np.empty((3, len(new), 1))
+        for i, r in enumerate(new):
+            b = min(h, oversample - r)  # past the last offset the right neighbour is (m + 1, 0)
+            source[:2, i] = order.index(r - h), order.index(r + h) if r + h < oversample else 0
+            weights[:, i, 0] = b / (h + b), h / (h + b), h * b
+        source.flags.writeable = weights.flags.writeable = False
+        levels.append((h, slice(len(order), len(order) + len(new)), source, weights))
+        order += new
+    order = np.array(order)[:, None]
+    order.flags.writeable = False
+    return order, base, tuple(levels)
+
+
 def _twist_table(N: int, oversample: int):
-    """Read-only n = 1..N and the twists e^{2 pi i n r / K}, r < oversample.
+    """Read-only n = 1..N and the twists e^{2 pi i n r / K}, one row per
+    offset r in the kernel's order (``_refinement``).
 
     Kept in a least-recently-used table capped at _TWIST_BYTES: for a single
     short row the table costs about as much as the transforms.
@@ -178,12 +206,19 @@ def _twist_table(N: int, oversample: int):
     if hit is None:
         K = oversample * N
         n = np.arange(1, N + 1)
-        twist = np.exp((2j * math.pi / K) * (np.arange(oversample)[:, None] * n % K))
+        twist = np.exp((2j * math.pi / K) * (_refinement(oversample)[0] * n % K))
         n.flags.writeable = False
         twist.flags.writeable = False
         hit = (n, twist)
         _twists.put(key, hit, n.nbytes + twist.nbytes)
     return hit
+
+
+def _ifft_max(X: np.ndarray):
+    """Transform the rows of X in place; per row, the largest modulus and its first index."""
+    A = np.abs(np.fft.ifft(X, axis=1, out=X))
+    m = A.argmax(axis=1)
+    return A[np.arange(m.size), m], m  # read at the argmax: cheaper than a second reduction on short rows
 
 
 def _grid_sup_rows(U: np.ndarray, oversample: int):
@@ -198,96 +233,60 @@ def _grid_sup_rows(U: np.ndarray, oversample: int):
     of u_n e^{2 pi i n r / K} placed at position n - 1 (the placement only
     multiplies the entry by e^{-2 pi i m / N}, which leaves its modulus
     alone), and the 1/N of the inverse transform is the average itself.
-    Every row goes through the even offsets r; an odd offset is transformed
-    only where the midpoint certificate (module docstring) lets one of its
-    points reach the row's maximum, and every other odd point lies strictly
-    below it, so the outputs are those of the full grid.  Transforms go in
-    blocks of about _GRID_BLOCK entries, from U made C-contiguous, so a
-    row's results do not depend on the batch it arrives in.  A block's
-    moduli at the even offsets are kept until its odd offsets are screened:
-    for rows longer than _GRID_BLOCK / ceil(O / 2) that is about
-    8 (O + 1) N bytes of scratch.
+    Every row goes through the base offsets; each level then transforms
+    the (row, offset) pairs its bound (module docstring) cannot rule out,
+    so the outputs are those of the full grid.  Transforms go in blocks of
+    about _GRID_BLOCK entries, from U made C-contiguous, so a row's results
+    do not depend on the batch it arrives in.
     """
     U = np.ascontiguousarray(U, dtype=np.complex128)  # rows are gathered again below
     rows, N = U.shape
     K = oversample * N
     n, twist = _twist_table(N, oversample)
-    even = twist[0::2]
-    ne = even.shape[0]
-    if ne * N <= _GRID_BLOCK:
-        row_block, e_block = _GRID_BLOCK // (ne * N), ne
-    else:
-        row_block, e_block = 1, max(1, _GRID_BLOCK // N)
-    row_block = min(row_block, rows)
+    order, nb, levels = _refinement(oversample)
     pair_block = max(1, _GRID_BLOCK // N)
-    buf = np.empty(max(row_block * e_block, min(pair_block, rows * ne)) * N, dtype=np.complex128)
-    # |.| at the even offsets of a row block, then a row holding the
-    # neighbours (m + 1 mod N, 0) of (m, O - 2); and sums of adjacent rows
-    ext = np.empty(max(row_block * (ne + 1), min(pair_block, rows * ne)) * N)
-    sums = np.empty(row_block * ne * N)
-    # per row and offset r: the maximum over m and its first m (odd offsets
-    # left untransformed keep -1)
-    cand_v = np.full((rows, oversample), -1.0)
-    cand_m = np.zeros((rows, oversample), dtype=np.intp)
-    pair_max = np.empty((rows, ne))  # column c: max over m of the sums at odd offset 2c + 1
-    # (row, column) index grids; a max over m is read at its argmax, which is
-    # cheaper than a second reduction when N is small
-    at_row, at_col = np.arange(row_block)[:, None], np.arange(ne)
-    deriv = np.empty(rows)
-    cap = np.empty(rows)
+    row_block, e_block = max(1, pair_block // nb), min(nb, pair_block)
+    # per slot c (offset order[c]) and row: the maximum over m and its first
+    # m, or for an offset left out the bound that excluded it; slot O holds
+    # beta S for the level being screened
+    cand_v = np.zeros((oversample + 1, rows))
+    cand_m = np.zeros((oversample, rows), dtype=np.intp)
+    deriv, cap = np.empty(rows), np.empty(rows)
     for s in range(0, rows, row_block):
         V = U[s : s + row_block]
-        b = V.shape[0]
-        E = ext[: b * (ne + 1) * N].reshape(b, ne + 1, N)
-        for e0 in range(0, ne, e_block):
-            nr = min(e_block, ne - e0)
-            X = buf[: b * nr * N].reshape(b, nr, N)
-            np.multiply(V[:, None, :], even[None, e0 : e0 + nr], out=X)
-            np.fft.ifft(X, axis=2, out=X)
-            np.abs(X, out=E[:, e0 : e0 + nr])
-        if oversample % 2 == 0:  # (m, O - 1) lies between (m, O - 2) and (m + 1 mod N, 0)
-            E[:, ne, :-1] = E[:, 0, 1:]
-            E[:, ne, -1] = E[:, 0, 0]
-        else:  # O - 1 is even: no odd offset wraps
-            E[:, ne] = -np.inf
-        m = E.argmax(axis=2)[:, :ne]  # over all of E: argmax copies a non-contiguous slice
-        cand_m[s : s + b, 0::2] = m
-        cand_v[s : s + b, 0::2] = E[at_row[:b], at_col, m]
-        S = np.add(E[:, :-1], E[:, 1:], out=sums[: b * ne * N].reshape(b, ne, N))
-        pair_max[s : s + b] = S[at_row[:b], at_col, S.argmax(axis=2)]
         absV = np.abs(V)
-        deriv[s : s + b] = (absV * n).sum(axis=1)
-        cap[s : s + b] = absV.sum(axis=1)
+        deriv[s : s + row_block] = np.add.reduce(absV * n, axis=1)
+        cap[s : s + row_block] = np.add.reduce(absV, axis=1)
+        for e0 in range(0, nb, e_block):
+            slots = slice(e0, min(e0 + e_block, nb))
+            v, m = _ifft_max((V * twist[slots, None, :]).reshape(-1, N))  # u first: the bits depend on it
+            cand_v[slots, s : s + row_block] = v.reshape(-1, len(V))
+            cand_m[slots, s : s + row_block] = m.reshape(-1, len(V))
     deriv *= 2.0 * math.pi / N
     cap /= N
-    # an odd point can reach the maximum only if its neighbours' mean plus
-    # the midpoint remainder does; the margin covers transform rounding
-    lower = cand_v[:, 0::2].max(axis=1)
+    lower = np.maximum.reduce(cand_v[:nb], axis=0)
     n_c = N // 2
     beta = 2.0 * (math.pi * n_c / K) ** 2
-    s_up = np.minimum(lower * _secant(2 * n_c, K), cap)
-    floor = 2.0 * (lower - beta * s_up - 1e-9 * cap)
-    pair_row, pair_col = np.nonzero(pair_max >= floor[:, None])
-    if pair_row.size:
-        pair_r = 2 * pair_col + 1
-        tw = np.empty(min(pair_block, pair_row.size) * N, dtype=np.complex128)
+    beta_cap = beta * cap
+    margin = 1e-9 * cap  # covers transform rounding (module docstring)
+    for h, slots, source, weights in levels:
+        np.minimum(lower * (beta * _secant(2 * n_c * h, K)), beta_cap, out=cand_v[oversample])
+        level_v, level_m, level_twist = cand_v[slots], cand_m[slots], twist[slots]
+        terms = cand_v.take(source, axis=0)  # each new slot's two neighbours and beta S
+        terms *= weights
+        np.add.reduce(terms, axis=0, out=level_v)
+        del terms  # before the transforms allocate theirs
+        pair_c, pair_row = (level_v >= lower - margin).nonzero()
         for p0 in range(0, pair_row.size, pair_block):
-            row, r = pair_row[p0 : p0 + pair_block], pair_r[p0 : p0 + pair_block]
-            X = buf[: row.size * N].reshape(row.size, N)
-            T = tw[: X.size].reshape(X.shape)
-            # gathered in place: mode="raise" would buffer the output
-            np.take(U, row, axis=0, out=X, mode="clip")
-            np.take(twist, r, axis=0, out=T, mode="clip")
-            np.multiply(X, T, out=X)
-            np.fft.ifft(X, axis=1, out=X)
-            vals = np.abs(X, out=ext[: X.size].reshape(X.shape))
-            cand_v[row, r] = vals.max(axis=1)
-            cand_m[row, r] = vals.argmax(axis=1)
+            c, row = pair_c[p0 : p0 + pair_block], pair_row[p0 : p0 + pair_block]
+            X = U.take(row, axis=0)
+            X *= level_twist.take(c, axis=0)
+            v, level_m[c, row] = _ifft_max(X)
+            level_v[c, row] = v
+            np.maximum.at(lower, row, v)
     # the largest value wins, then the first grid index j = m * oversample + r
-    lower = cand_v.max(axis=1)
-    cand_m *= oversample
-    cand_m += np.arange(oversample)
-    best_j = np.where(cand_v == lower[:, None], cand_m, K).min(axis=1)
+    first = cand_v[:oversample] == lower
+    best_j = np.minimum.reduce(cand_m * oversample + order, axis=0, where=first, initial=K)
     upper = np.minimum(np.minimum(lower * _secant(N // 2, K), lower + deriv / (2 * K)), cap)
     upper = np.maximum(upper, lower)  # guard against rounding inversions
     return lower, upper, best_j / K

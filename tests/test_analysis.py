@@ -21,8 +21,11 @@ from wwlab.analysis import (
     precsim_fit,
     run_named_check,
 )
+from wwlab._util import BudgetExceeded
 from wwlab.recurrence import ExponentVector
-from wwlab.systems import constant_observable, cyclic_shift, identity_system, random_mean_zero, random_permutation
+from wwlab.systems import (
+    Observable, constant_observable, cyclic_shift, identity_system, random_mean_zero, random_permutation,
+)
 
 
 # -- series containers --------------------------------------------------------
@@ -228,6 +231,36 @@ def test_hilbert_partial_sums_read_one_orbit():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def _maximal_lhs_oracle(system, values, p, N_cap):
+    """The maximal check's left side from one (N_cap, M) table of running averages."""
+    n = np.arange(1, N_cap + 1)
+    samples = values[system.orbit_indices(slice(None), 1, n[:, None])]
+    m = (np.cumsum(samples, axis=0) / n[:, None]).max(axis=0)
+    return math.fsum((system.weights * m**p).tolist()) ** (1.0 / p)
+
+
+@pytest.mark.parametrize("size, N_cap", [(13, None), (300, None), (5, 70000), (70000, 3)])
+def test_maximal_check_streams_lengths_bit_for_bit(size, N_cap):
+    # one chunk, several chunks, many short chunks, and chunks of one length
+    system = random_permutation(size, size)
+    f = Observable(np.abs(np.random.default_rng(size).standard_normal(size)))
+    row = run_named_check("maximal", system=system, f=f, p=2.5, N_cap=N_cap).rows[0]
+    assert row.lhs == _maximal_lhs_oracle(system, f.values.real, 2.5, N_cap or 4 * size)
+
+
+def test_maximal_check_memory_is_linear_in_the_system():
+    system = random_permutation(1024, 1)  # 4096 lengths: a table of them would be 32 MiB per array
+    tracemalloc.start()
+    try:
+        run_named_check("maximal", system=system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    with pytest.raises(BudgetExceeded):
+        run_named_check("maximal", system=system, N_cap=10**8)
 
 
 @settings(max_examples=30, deadline=None)

@@ -15,6 +15,7 @@ from wwlab.supbrackets import (
     _TWIST_BYTES,
     Bracket,
     _grid_sup_rows,
+    _refinement,
     _secant,
     _twist_table,
     modulated_mean,
@@ -253,60 +254,86 @@ def _assert_same_bits(U, oversample):
         assert np.array_equal(a, b), (name, np.flatnonzero(a != b))
 
 
-@pytest.mark.parametrize("oversample", [4, 5, 16, 64])
+@pytest.mark.parametrize("oversample", [4, 5, 6, 7, 12, 16, 19, 24, 64])
 @pytest.mark.parametrize("N", [1, 2, 3, 7, 8, 64, 100, 256, 1024, 1100])
 def test_grid_kernel_matches_all_offsets_oracle_bit_for_bit(N, oversample):
-    # N = 1100 at oversample 64 splits a row's even offsets over two blocks
+    # oversample 4 to 7 is all base; 12 has one level, 16, 19 and 24 two
+    # (at 19 the last level-2 offset is 2 steps from its left neighbour and
+    # 1 from (m + 1, 0)), 64 four; N = 1100 splits a row's base offsets
+    # over two blocks at oversample 64
     rng = np.random.default_rng(N * oversample)
     U = np.vstack([_kernel_rows(N, 31 * N + oversample), np.exp(2j * np.pi * rng.random((4, N)))])
     _assert_same_bits(U, oversample)
 
 
-def _odd_points(N, oversample):
-    """Every odd r at m = 0, the wrap point j = K - 1 (m = N - 1, r = O - 1),
-    and two more odd points."""
+@pytest.mark.parametrize("oversample", range(4, 70))
+def test_refinement_plan_screens_each_offset_from_its_known_neighbours(oversample):
+    # the base is every s-th offset, s the largest power of two <= O / 4;
+    # each finer offset r = h (mod 2h) takes its weights from its distances
+    # a = h to r - h and b to r + h, or to (m + 1, 0) past the last offset
+    order, base, levels = _refinement(oversample)
+    offsets = order[:, 0]
+    s = 1 << int(math.log2(oversample // 4))
+    assert list(offsets[:base]) == list(range(0, oversample, s))
+    assert sorted(offsets) == list(range(oversample))
+    assert [h for h, *_ in levels] == [s >> i for i in range(1, s.bit_length())]
+    for h, slots, source, weights in levels:
+        assert all(r % (2 * h) == h for r in offsets[slots])
+        for i, r in enumerate(offsets[slots]):
+            left, right, beta_s = source[:, i]
+            b = h if r + h < oversample else oversample - r
+            assert (left, beta_s) == (list(offsets).index(r - h), oversample)
+            assert offsets[right] == (r + h if r + h < oversample else 0) and right < slots.start
+            assert list(weights[:, i, 0]) == [b / (h + b), h / (h + b), h * b]
+
+
+def _peak_points(N, oversample):
+    """Every r > 0 at m = 0, the wrap points j = K - 1 and K - 2 (m = N - 1,
+    r = O - 1 and O - 2), and two more points off the base grid."""
     K = oversample * N
-    return list(range(1, oversample, 2)) + [K - 1, K - oversample + 1, (N // 2) * oversample + 1]
+    return list(range(1, oversample)) + [K - 1, K - 2, K - oversample + 1, (N // 2) * oversample + 1]
 
 
 def _peaked_rows(N, oversample, seed):
-    """Rows whose |average| peaks at odd-offset grid points: exactly on them,
-    exactly on them with noisy amplitudes, 0.4 grid steps past them on a
-    two-frequency row (whose |average| bends about as sharply as Bernstein's
-    inequality allows, so one neighbour alone does not certify the point),
-    and two equal peaks at odd points of different offsets."""
+    """Rows whose |average| peaks at grid points of every level: exactly on
+    them, exactly on them with noisy amplitudes, 0.4 grid steps past them on
+    a two-frequency row (whose |average| bends about as sharply as
+    Bernstein's inequality allows, so one neighbour alone does not certify
+    the point), and two equal peaks at points of different offsets, odd and
+    then r = 2 (mod 4)."""
     rng = np.random.default_rng(seed)
     K = oversample * N
     n = np.arange(1, N + 1)
-    odd_j = _odd_points(N, oversample)
-    rows = [np.exp(-2j * np.pi * n * j / K) for j in odd_j]
-    rows += [np.exp(-2j * np.pi * n * j / K) * (1 + 0.05 * rng.standard_normal(N)) for j in odd_j]
+    peak_j = _peak_points(N, oversample)
+    rows = [np.exp(-2j * np.pi * n * j / K) for j in peak_j]
+    rows += [np.exp(-2j * np.pi * n * j / K) * (1 + 0.05 * rng.standard_normal(N)) for j in peak_j]
     if N > 1:
-        for j in odd_j:
+        for j in peak_j:
             row = np.zeros(N, dtype=np.complex128)
             row[0], row[-1] = 1.0, np.exp(-2j * np.pi * (N - 1) * (j + 0.4) / K)
             rows.append(row)
-        j1, j2 = 1, (N // 2) * oversample + oversample - 1
-        rows.append(np.exp(-2j * np.pi * n * j1 / K) + np.exp(-2j * np.pi * n * j2 / K))
+        for d in (1, 2):
+            j1, j2 = d, (N // 2) * oversample + oversample - d
+            rows.append(np.exp(-2j * np.pi * n * j1 / K) + np.exp(-2j * np.pi * n * j2 / K))
     return np.array(rows)
 
 
-@pytest.mark.parametrize("oversample", [4, 5, 16, 17])
+@pytest.mark.parametrize("oversample", [4, 5, 6, 7, 12, 16, 17, 19, 24, 64])
 @pytest.mark.parametrize("N", [1, 2, 3, 8, 64, 100])
 def test_grid_kernel_finds_peaks_on_odd_offsets(N, oversample):
     U = _peaked_rows(N, oversample, N + oversample)
     _assert_same_bits(U, oversample)
     if N > 2:  # the peak itself is the maximum of its row
         j = np.rint(_grid_sup_rows(U, oversample)[2] * oversample * N).astype(int)
-        expect = _odd_points(N, oversample)
+        expect = _peak_points(N, oversample)
         assert list(j[: len(expect)]) == expect
 
 
-def _exact_tie_rows(oversample, count):
+def _exact_tie_rows(oversample, count, h, step):
     """Single-sample rows (N = 1, so every grid value is |u| up to rounding)
-    whose first grid maximum is at an odd offset while an even offset holds
-    the same value exactly."""
-    rng = np.random.default_rng(oversample)
+    whose first grid maximum is at an offset r = h (mod 2h) while an offset
+    r = 0 (mod step) holds the same value exactly."""
+    rng = np.random.default_rng(oversample + h)
     found = []
     while len(found) < count:
         u = rng.standard_normal((64, 1)) + 1j * rng.standard_normal((64, 1))
@@ -314,25 +341,27 @@ def _exact_tie_rows(oversample, count):
         # at N = 1 grid point r is u e^{2 pi i r / K} itself
         vals = np.abs(u * np.exp((2j * math.pi / oversample) * np.arange(oversample)))
         for row, v, lo, t in zip(u, vals, lower, arg):
-            if round(t * oversample) % 2 == 1 and np.any(v[0::2] == lo):
+            if round(t * oversample) % (2 * h) == h and np.any(v[0::step] == lo):
                 found.append(row)
     return np.array(found[:count])
 
 
-@pytest.mark.parametrize("oversample", [4, 5, 16])
+@pytest.mark.parametrize("oversample", [4, 5, 16, 64])
 def test_grid_kernel_breaks_exact_ties_by_first_grid_index(oversample):
-    U1 = _exact_tie_rows(oversample, 4)
-    arg = _grid_sup_rows(U1, oversample)[2]
-    assert np.all(np.rint(arg * oversample).astype(int) % 2 == 1)
-    _assert_same_bits(U1, oversample)
-    # N = 2 with u_2 = 0: every value also ties between m = 0 and m = 1
-    U2 = np.hstack([U1, np.zeros_like(U1)])
-    _assert_same_bits(U2, oversample)
+    # an odd offset tied with an even one; from oversample 16 on also a
+    # level-2 offset (r = 2 mod 4) tied with a base one (r = 0 mod s)
+    s = 1 << ((oversample // 4).bit_length() - 1)
+    for h, step in [(1, 2)] if s < 4 else [(1, 2), (2, s)]:
+        U1 = _exact_tie_rows(oversample, 4, h, step)
+        arg = _grid_sup_rows(U1, oversample)[2]
+        assert np.all(np.rint(arg * oversample).astype(int) % (2 * h) == h)
+        _assert_same_bits(U1, oversample)
+        # N = 2 with u_2 = 0: every value also ties between m = 0 and m = 1
+        U2 = np.hstack([U1, np.zeros_like(U1)])
+        _assert_same_bits(U2, oversample)
 
 
-def test_grid_kernel_skips_most_odd_offsets(monkeypatch):
-    # 256 random unimodular rows at N = 1024: the even offsets (8 of 16) plus
-    # the odd ones the certificate cannot rule out, under 11 per row
+def _transforms_per_row(monkeypatch, U, oversample):
     rows = []
     ifft = np.fft.ifft
 
@@ -341,9 +370,28 @@ def test_grid_kernel_skips_most_odd_offsets(monkeypatch):
         return ifft(a, *args, **kwargs)
 
     monkeypatch.setattr(supbrackets.np.fft, "ifft", counting_ifft)
+    _grid_sup_rows(U, oversample)
+    return sum(rows) / U.shape[0]
+
+
+def test_grid_kernel_skips_most_odd_offsets(monkeypatch):
+    # 256 random unimodular rows at N = 1024: the base offsets (4 of 16)
+    # plus those the certificate cannot rule out, 9.2 per row
     U = np.exp(2j * np.pi * np.random.default_rng(0).random((256, 1024)))
-    _grid_sup_rows(U, 16)
-    assert sum(rows) / 256 <= 11
+    assert _transforms_per_row(monkeypatch, U, 16) <= 9.6
+
+
+def test_grid_kernel_screens_short_rows_at_high_oversample(monkeypatch):
+    # the degree-2 phase search of a reference bracket at N = 7: one row per
+    # t_2 grid value, 3136 rows at oversample 64; 4 base offsets of 64 and
+    # about 10.6 transforms per row in all
+    rng = np.random.default_rng(3)
+    N, oversample = 7, 64
+    u = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    K2 = oversample * N * N
+    n = np.arange(1, N + 1)
+    U = u[None, :] * np.exp(2j * np.pi * np.outer(np.arange(K2) / K2, n * n % K2))
+    assert _transforms_per_row(monkeypatch, U, oversample) <= 12
 
 
 def test_twist_tables_are_read_only_and_capped_in_bytes():
