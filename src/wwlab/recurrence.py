@@ -10,7 +10,11 @@ norm is the positive semidefinite quadratic A^H W A.  The maximization is
 Gauss-Seidel coordinate ascent on it: each value of g_l in turn takes the
 closed-form phase (or sign) that maximizes the objective with the others
 fixed, which never decreases it.  K_l is built once per call for k = 1 and
-once per companion and cycle for k >= 2; A is kept up to date rather than
+once per companion and cycle for k >= 2, one block of rows (points) at a
+time, so a fill's scratch has a fixed size whatever N and M.  For k = 1
+each block gathers its own orbits, so no (N, M) table exists and the dense
+M x M kernel is the call's largest array; for k >= 2 the orbit tables are
+gathered once per call and sliced.  A is kept up to date rather than
 recomputed, and the coordinates are swept in fixed blocks: one matrix
 product gives every ascent direction of a block, a scalar loop applies the
 updates in natural order, coupled only through the block's Gram matrix,
@@ -42,7 +46,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._util import check_budget, content_key, fsum, fsum_complex, memo
-from .averages import CubeAssignment, cube_product
+from .averages import _POINT_CHUNK_BUDGET, CubeAssignment, cube_product
 from .supbrackets import Bracket, _grid_sup_rows, sup_polyphase
 from .systems import FiniteSystem, Observable
 
@@ -134,26 +138,56 @@ def multiple_recurrence_average(
 # -- uniform version ---------------------------------------------------------
 
 _BLOCK = 32  # coordinates per Gauss-Seidel block
+_FILL_BLOCK = 1 << 16  # points per kernel fill block, times max(N, M): 1 MiB of complex terms
 
 
-def _fill_kernel(K, f_seq, g_list, tables, idx, l: int, N: int) -> None:
+def _kernel_rows(system: FiniteSystem, f: Observable, k: int, N: int):
+    """Source of the orbit data a kernel fill reads, one block of points at a time.
+
+    ``rows(x)`` returns f o T^{(k+1) n} and the companions' index tables
+    T^{(j+1) n}, one orbit per row (shape (points, N)), on the points of
+    the slice ``x``.  For k = 1 the kernel is filled once per call, so each
+    block gathers its own orbits and no (N, M) table is kept; for k >= 2 it
+    is refilled every cycle, so the tables are gathered once and sliced.
+    """
+    points, n = np.arange(system.size)[:, None], np.arange(1, N + 1)
+    if k == 1:
+        return lambda x: (f.values[system.orbit_indices(points[x], 2, n)], [system.orbit_indices(points[x], 1, n)])
+    f_seq = f.values[system.orbit_indices(points, k + 1, n)]
+    tables = [system.orbit_indices(points, a, n) for a in range(1, k + 1)]
+    return lambda x: (f_seq[x], [tbl[x] for tbl in tables])
+
+
+def _fill_kernel(K, rows, g_list, l: int, N: int) -> None:
     """Overwrite K so that A(x) = sum_y K[x, y] g_l(y), other companions frozen.
 
     Entry (x, T^{(l+1) n} x) sums f(T^{(k+1) n} x) prod_{j != l} g_j(T^{(j+1) n} x) / N
-    over n = 1..N in increasing order (bincount adds sequentially), so
-    repeated entries, where N exceeds a cycle length, round as a plain loop.
-    ``f_seq`` is f o T^{(k+1) n} and ``idx`` the flat Fortran-order index of
-    entry (x, T^{(l+1) n} x); neither depends on the companions.
+    over n = 1..N in increasing order, so repeated entries, where N exceeds a
+    cycle length, round as a plain loop.  K is filled one block of rows
+    (points x) at a time from ``rows`` (see :func:`_kernel_rows`): one
+    sequential bincount over the block's local bins (x - start) M + y sees
+    each entry's terms in increasing n, so every entry is bit-identical to
+    one bincount over the whole (N, M) table of terms, while the scratch
+    stays O(_FILL_BLOCK).
     """
     M = K.shape[0]
-    b = f_seq.copy()
-    for j, (g, tbl) in enumerate(zip(g_list, tables)):
-        if j != l:
-            b *= g[tbl]
-    b /= N
-    flat = K.reshape(-1, order="F")
-    flat.real = np.bincount(idx, b.real.ravel(), M * M)
-    flat.imag = np.bincount(idx, b.imag.ravel(), M * M)
+    step = max(1, _FILL_BLOCK // max(M, N))
+    scale = 1.0 / N
+    for s in range(0, M, step):
+        x = slice(s, min(s + step, M))
+        b, tables = rows(x)
+        for j, (g, tbl) in enumerate(zip(g_list, tables)):
+            if j != l:
+                # not b * g[tbl]: numpy may reuse the temporary g[tbl] and swap the
+                # operands, and a complex product with FMA rounds asymmetrically
+                b = np.multiply(b, g[tbl])
+        # b / N divides by N + 0j, which numpy does as (re + im 0) (1 / N) and
+        # (im - re 0) (1 / N): each part times 1 / N up to the sign of a zero,
+        # which the bincount's +0.0 start erases
+        idx = (tables[l] + np.arange(0, len(b) * M, M)[:, None]).ravel()
+        Kb = K[x]
+        Kb.real = np.bincount(idx, (b.real * scale).ravel(), Kb.size).reshape(Kb.shape)
+        Kb.imag = np.bincount(idx, (b.imag * scale).ravel(), Kb.size).reshape(Kb.shape)
 
 
 def _block_grams(K, w) -> list:
@@ -246,24 +280,22 @@ def uniform_mrec_bracket(
                       real_signs, brute_force)
     result = memo.get(key)
     if result is None:
-        tables = _step_tables(system, range(1, k + 1), N)
-        f_table = _step_tables(system, [k + 1], N)[0]
         if brute_force:
-            result = _brute_bracket(system, f, k, N, tables, f_table)
+            result = _brute_bracket(system, f, k, N)
         else:
-            result = _ascent_bracket(system, f, k, N, tables, f_table, restarts, seed, tol, max_cycles,
-                                     real_signs)
+            result = _ascent_bracket(system, f, k, N, restarts, seed, tol, max_cycles, real_signs)
         memo.put(key, result, sum(g.nbytes for g in result.witnesses) + 32 * len(result.trace))
     # the stored result never leaves the memo, so callers may mutate theirs
     return replace(result, witnesses=[g.copy() for g in result.witnesses], trace=list(result.trace))
 
 
-def _brute_bracket(system, f, k, N, tables, f_table) -> MrecBracket:
+def _brute_bracket(system, f, k, N) -> MrecBracket:
     M = system.size
     w = system.weights
     signs = np.array(list(itertools.product((-1.0, 1.0), repeat=M)))
     best = -1.0
     best_g = None
+    *tables, f_table = _step_tables(system, range(1, k + 2), N)
     f_seq = f.values[f_table]
     for combo in itertools.product(range(signs.shape[0]), repeat=k):
         gs = [signs[i] for i in combo]
@@ -281,15 +313,13 @@ def _brute_bracket(system, f, k, N, tables, f_table) -> MrecBracket:
     return MrecBracket(val, val, "brute", [np.asarray(g) for g in best_g], converged=True)
 
 
-def _ascent_bracket(system, f, k, N, tables, f_table, restarts, seed, tol, max_cycles,
-                    real_signs) -> MrecBracket:
+def _ascent_bracket(system, f, k, N, restarts, seed, tol, max_cycles, real_signs) -> MrecBracket:
     M = system.size
     w = system.weights
     cap = math.sqrt(fsum((w * np.abs(f.values) ** 2).tolist()))
     rng = np.random.default_rng(int(seed))
     K = np.empty((M, M), dtype=np.complex128, order="F")  # column blocks are views
-    f_seq = f.values[f_table]
-    idx = [(tbl * M + np.arange(M)).ravel() for tbl in tables]
+    rows = _kernel_rows(system, f, k, N)
     best_obj = -1.0
     best_g = None
     best_trace: list = []
@@ -302,7 +332,7 @@ def _ascent_bracket(system, f, k, N, tables, f_table, restarts, seed, tol, max_c
         else:
             g_list = [np.exp(2j * np.pi * rng.random(M)) for _ in range(k)]
         if attempt == 0 or k > 1:  # for k = 1 the kernel never changes
-            _fill_kernel(K, f_seq, g_list, tables, idx[0], 0, N)
+            _fill_kernel(K, rows, g_list, 0, N)
             grams = _block_grams(K, w)
         A = K @ g_list[0]
         obj = fsum((w * np.abs(A) ** 2).tolist())
@@ -311,7 +341,7 @@ def _ascent_bracket(system, f, k, N, tables, f_table, restarts, seed, tol, max_c
         for cycle in range(max_cycles):
             for l in range(k):
                 if k > 1 and (cycle or l):
-                    _fill_kernel(K, f_seq, g_list, tables, idx[l], l, N)
+                    _fill_kernel(K, rows, g_list, l, N)
                     grams = _block_grams(K, w)
                 _sweep(K, grams, g_list[l], A, w, real_signs)
             obj_new = fsum((w * np.abs(A) ** 2).tolist())
@@ -358,19 +388,22 @@ def polyphase_mrec_sup(
     M = system.size
     check_budget(float(M) * oversample ** phase_degree * float(N) ** (phase_degree * (phase_degree + 1) // 2 + 1),
                  budget, "polyphase_mrec_sup")
+    lo = np.empty(M)
+    up = np.empty(M)
     points, n = np.arange(M)[:, None], np.arange(1, N + 1)
-    seq = np.ones((M, N), dtype=np.complex128)  # one orbit per row
-    for f, a in zip(functions, exponents.entries):
-        seq *= f.values[system.orbit_indices(points, a, n)]
-    if phase_degree == 1:
-        lo, up, _ = _grid_sup_rows(seq, oversample)
-    else:
-        lo = np.empty(M)
-        up = np.empty(M)
-        for x in range(M):
-            b = sup_polyphase(seq[x], phase_degree, oversample, budget)
-            lo[x] = b.lower
-            up[x] = b.upper
+    chunk = max(1, _POINT_CHUNK_BUDGET // N)  # one orbit per row, as in the strong kernel
+    for start in range(0, M, chunk):
+        x = slice(start, min(start + chunk, M))
+        seq = np.ones((x.stop - start, N), dtype=np.complex128)
+        for f, a in zip(functions, exponents.entries):
+            seq *= f.values[system.orbit_indices(points[x], a, n)]
+        if phase_degree == 1:
+            lo[x], up[x], _ = _grid_sup_rows(seq, oversample)
+        else:
+            for i, row in enumerate(seq, start):
+                b = sup_polyphase(row, phase_degree, oversample, budget)
+                lo[i] = b.lower
+                up[i] = b.upper
     w = system.weights
     lo_n = math.sqrt(fsum((w * lo**2).tolist()))
     up_n = math.sqrt(fsum((w * up**2).tolist()))
@@ -487,14 +520,20 @@ def intermediate_F(
                  budget, "intermediate_F")
     points, n = np.arange(M)[:, None], np.arange(1, N + 1)
     tables = [system.orbit_indices(points, a, n) for a in exponents.entries]  # one orbit per row
+    chunk = max(1, _POINT_CHUNK_BUDGET // N)
     lo_acc = np.zeros(M)
     up_acc = np.zeros(M)
+    lo = np.empty(M)
+    up = np.empty(M)
     for h in tuples:
-        seq = np.ones((M, N), dtype=np.complex128)
-        for (f, a, tbl) in zip(functions, exponents.entries, tables):
-            cube = cube_product(system, CubeAssignment.diagonal(f, K_order - 1), [a * x for x in h])
-            seq *= cube.values[tbl]
-        lo, up, _ = _grid_sup_rows(seq, oversample)
+        cubes = [cube_product(system, CubeAssignment.diagonal(f, K_order - 1), [a * x for x in h]).values
+                 for f, a in zip(functions, exponents.entries)]
+        for start in range(0, M, chunk):
+            x = slice(start, min(start + chunk, M))
+            seq = np.ones((x.stop - start, N), dtype=np.complex128)
+            for cube, tbl in zip(cubes, tables):
+                seq *= cube[tbl[x]]
+            lo[x], up[x], _ = _grid_sup_rows(seq, oversample)
         lo_acc += lo
         up_acc += up
     lo_acc /= len(tuples)

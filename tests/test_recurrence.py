@@ -1,12 +1,14 @@
 """Multiple recurrence norms, uniform maximization, and return times."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from wwlab import recurrence
 from wwlab._util import BudgetExceeded, fsum
+from wwlab.averages import CubeAssignment, cube_product
 from wwlab.recurrence import (
     ExponentVector,
     _step_tables,
@@ -17,12 +19,13 @@ from wwlab.recurrence import (
     return_times_average,
     uniform_mrec_bracket,
 )
-from wwlab.supbrackets import sup_modulated_average
+from wwlab.supbrackets import _grid_sup_rows, sup_modulated_average, sup_polyphase
 from wwlab.systems import (
     character_observable,
     constant_observable,
     cyclic_shift,
     identity_system,
+    product_system,
     random_mean_zero,
     random_permutation,
 )
@@ -262,6 +265,77 @@ def test_blocked_ascent_matches_per_coordinate_oracle(system, k, N, real_signs, 
         assert np.max(np.abs(got - want)[~free[l]], initial=0.0) <= 1e-9
 
 
+def _whole_array_kernel(system, f, gs, k, l, N):
+    """The kernel from one bincount over the whole (N, M) term table, n-major."""
+    M = system.size
+    tables = _step_tables(system, range(1, k + 1), N)
+    b = f.values[_step_tables(system, [k + 1], N)[0]]
+    for j, (g, tbl) in enumerate(zip(gs, tables)):
+        if j != l:
+            b *= g[tbl]
+    b /= N
+    idx = (tables[l] * M + np.arange(M)).ravel()
+    K = np.empty((M, M), dtype=np.complex128, order="F")
+    flat = K.reshape(-1, order="F")
+    flat.real = np.bincount(idx, b.real.ravel(), M * M)
+    flat.imag = np.bincount(idx, b.imag.ravel(), M * M)
+    return K
+
+
+@pytest.mark.parametrize("system, N", [
+    (cyclic_shift(37), 50),
+    (random_permutation(37, 3), 41),
+    (identity_system(7), 9),
+    (product_system(cyclic_shift(3), random_permutation(13, 2)), 47),
+    (random_permutation(521, 5), 600),  # blocks above numpy's 256 KiB temporary-reuse threshold
+], ids=["cyclic", "random", "identity", "product", "large"])
+@pytest.mark.parametrize("block", ["uneven", "one point", "default"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_blocked_fill_matches_whole_array_fill(monkeypatch, system, N, block, k):
+    # N exceeds a cycle length of every system, so entries repeat
+    M = system.size
+    if block == "uneven":
+        monkeypatch.setattr(recurrence, "_FILL_BLOCK", 5 * max(M, N))  # e.g. 37 points in blocks of 5
+    elif block == "one point":
+        monkeypatch.setattr(recurrence, "_FILL_BLOCK", 1)
+    f = random_mean_zero(system, 4)
+    rng = np.random.default_rng(k)
+    gs = [np.exp(2j * np.pi * rng.random(M)) for _ in range(k)]
+    rows = recurrence._kernel_rows(system, f, k, N)
+    for l in range(k):
+        K = np.full((M, M), np.nan, dtype=np.complex128, order="F")
+        recurrence._fill_kernel(K, rows, gs, l, N)
+        assert np.array_equal(K, _whole_array_kernel(system, f, gs, k, l, N))
+
+
+def _peak_bytes(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_first_order_ascent_keeps_no_orbit_table():
+    # the kernel (4.3 MB) is the only (M, M) or (N, M) array: each block of
+    # points gathers its own orbits (136.5 MiB with whole tables)
+    system = cyclic_shift(521)
+    f = random_mean_zero(system, 2)
+    peak = _peak_bytes(uniform_mrec_bracket, system, f, 1, 4096, restarts=0, max_cycles=1)
+    assert peak < 12 * 2**20
+
+
+def test_higher_order_ascent_fills_per_block():
+    # k = 2 keeps f o T^{3n} and two index tables (17 MB at N = 1024); the
+    # product, the bin index and the bincount output are per block (49.3 MiB
+    # with whole-table scratch)
+    system = cyclic_shift(521)
+    f = random_mean_zero(system, 2)
+    peak = _peak_bytes(uniform_mrec_bracket, system, f, 2, 1024, restarts=0, max_cycles=1)
+    assert peak < 30 * 2**20
+
+
 def test_tied_restarts_report_the_earliest():
     # g and -g reach the same optimum; rounding alone used to pick the restart
     system = cyclic_shift(7)
@@ -399,3 +473,75 @@ def test_intermediate_F_shift_range_scales_with_first_exponent():
     f = random_mean_zero(system, 2)
     dom = intermediate_F(system, [f], ExponentVector((3,)), 2, 64)
     assert dom.shift_range == math.isqrt(64) // 3
+
+
+def _whole_orbit_products(system, values, steps, N):
+    """seq[x, n-1] = prod_j values_j(T^{a_j n} x), all points at once."""
+    points, n = np.arange(system.size)[:, None], np.arange(1, N + 1)
+    seq = np.ones((system.size, N), dtype=np.complex128)
+    for v, a in zip(values, steps):
+        seq *= v[system.orbit_indices(points, a, n)]
+    return seq
+
+
+def _weighted_norm(system, values):
+    return math.sqrt(fsum((system.weights * values**2).tolist()))
+
+
+@pytest.mark.parametrize("chunk", [None, 5 * 24, 24])
+def test_polyphase_chunks_match_whole_array(monkeypatch, chunk):
+    # at N = 24, chunks of 5 points split 37 unevenly and 24 entries hold one point
+    if chunk is not None:
+        monkeypatch.setattr(recurrence, "_POINT_CHUNK_BUDGET", chunk)
+    system = random_permutation(37, 2)
+    fs = [random_mean_zero(system, 1), random_mean_zero(system, 2)]
+    exps = ExponentVector((1, 2))
+    seq = _whole_orbit_products(system, [f.values for f in fs], exps.entries, 24)
+    lo, up, _ = _grid_sup_rows(seq, 16)
+    br = polyphase_mrec_sup(system, fs, exps, 1, 24)
+    assert (br.lower, br.upper) == (_weighted_norm(system, lo), max(_weighted_norm(system, up), br.lower))
+    seq = seq[:, :5]
+    brs = [sup_polyphase(row, 2, 16) for row in seq]
+    lo = np.array([b.lower for b in brs])
+    up = np.array([b.upper for b in brs])
+    br = polyphase_mrec_sup(system, fs, exps, 2, 5)
+    assert (br.lower, br.upper) == (_weighted_norm(system, lo), max(_weighted_norm(system, up), br.lower))
+
+
+def test_polyphase_streams_point_chunks():
+    # no (M, N) product or gather: 80 MiB with the whole sequence table
+    system = random_permutation(4096, 1)
+    f = random_mean_zero(system, 1)
+    assert _peak_bytes(polyphase_mrec_sup, system, [f], ExponentVector((1,)), 1, 512) < 16 * 2**20
+
+
+@pytest.mark.parametrize("chunk", [None, 5 * 16, 16])
+def test_intermediate_F_chunks_match_whole_array(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(recurrence, "_POINT_CHUNK_BUDGET", chunk)
+    system = random_permutation(37, 2)
+    fs = [random_mean_zero(system, 1), random_mean_zero(system, 2)]
+    exps = ExponentVector((1, 2))
+    N, K_order = 16, 3
+    H = math.isqrt(N)
+    lo_acc = np.zeros(system.size)
+    up_acc = np.zeros(system.size)
+    tuples = [(h1, h2) for h1 in range(1, H + 1) for h2 in range(1, H + 1)]
+    for h in tuples:
+        cubes = [cube_product(system, CubeAssignment.diagonal(f, K_order - 1), [a * x for x in h]).values
+                 for f, a in zip(fs, exps.entries)]
+        lo, up, _ = _grid_sup_rows(_whole_orbit_products(system, cubes, exps.entries, N), 16)
+        lo_acc += lo
+        up_acc += up
+    floor = float(H) ** -0.25
+    dom = intermediate_F(system, fs, exps, K_order, N)
+    assert np.array_equal(dom.lower.values, floor + (lo_acc / len(tuples)) ** 0.25)
+    assert np.array_equal(dom.upper.values, floor + (up_acc / len(tuples)) ** 0.25)
+
+
+def test_intermediate_F_fills_products_per_chunk():
+    # one (M, N) index table per exponent (16 MiB) and chunk-sized products:
+    # 48.3 MiB with a whole (M, N) product per shift tuple
+    system = random_permutation(4096, 1)
+    fs = [random_mean_zero(system, 1), random_mean_zero(system, 2)]
+    assert _peak_bytes(intermediate_F, system, fs, ExponentVector((1, 2)), 2, 256) < 32 * 2**20
