@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from wwlab.averages import _POINT_CHUNK_BUDGET
-from wwlab.supbrackets import _grid_sup_rows
+from wwlab.supbrackets import _SCREEN_MIN_N, _grid_sup_rows
 from wwlab.systems import random_mean_zero, random_permutation
 
 
@@ -60,7 +60,12 @@ def _transforms_per_row(U, oversample):
     ("1x32 unimodular", 16),
     ("3136x7 quadratic search", 16),
     ("3136x7 quadratic search", 64),
+    # full point chunks at the three row lengths strong-avg runs
     ("256x1024 strong chunk", 16),
+    ("1024x256 strong chunk", 16),
+    ("4096x64 strong chunk", 16),
+    # a row length either side of the sixth-order screen's cut-over
+    *((f"{_POINT_CHUNK_BUDGET // N}x{N} unimodular", 16) for N in (3 * _SCREEN_MIN_N // 4, _SCREEN_MIN_N)),
 ])
 def test_grid_sup_rows(benchmark, case, oversample):
     shape, kind = case.split(" ", 1)

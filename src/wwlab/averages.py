@@ -208,14 +208,8 @@ def _strong_kernel(system: FiniteSystem, values: np.ndarray, N: int, oversample:
         lows[start : start + chunk], ups[start : start + chunk], _ = _grid_sup_rows(seq, oversample)
     w = system.weights
     if norm_p == 2:
-        lo_n = math.sqrt(fsum((w * lows**2).tolist()))
-        up_n = math.sqrt(fsum((w * ups**2).tolist()))
-    elif norm_p == 1:
-        lo_n = fsum((w * lows).tolist())
-        up_n = fsum((w * ups).tolist())
-    else:
-        raise ValueError("norm_p must be 1 or 2")
-    return lo_n, up_n
+        return math.sqrt(fsum((w * lows**2).tolist())), math.sqrt(fsum((w * ups**2).tolist()))
+    return fsum((w * lows).tolist()), fsum((w * ups).tolist())
 
 
 def _weak_kernel(system: FiniteSystem, values: np.ndarray, N: int, oversample: int):
@@ -223,10 +217,14 @@ def _weak_kernel(system: FiniteSystem, values: np.ndarray, N: int, oversample: i
 
     The squared norm is the real trigonometric polynomial with coefficient
     (N - |d|) / N^2 * rho(d) at frequency d, where rho is the
-    autocorrelation of F along T.
+    autocorrelation of F along T, gathered one chunk of lags d at a time.
     """
-    shifted = values[system.orbit_indices(slice(None), 1, np.arange(N)[:, None])]  # rows d = 0..N-1
-    rho = (shifted * np.conjugate(values)[None, :] * system.weights[None, :]).sum(axis=1)
+    conj, w = np.conjugate(values)[None, :], system.weights[None, :]
+    rho = np.empty(N, dtype=np.complex128)
+    chunk = max(1, _POINT_CHUNK_BUDGET // system.size)
+    for d in range(0, N, chunk):
+        shifted = values[system.orbit_indices(slice(None), 1, np.arange(d, min(d + chunk, N))[:, None])]
+        rho[d : d + chunk] = (shifted * conj * w).sum(axis=1)  # each rho[d] is its own row's sum
     coeff = np.empty(2 * N - 1, dtype=np.complex128)
     d = np.arange(N)
     pos = (N - d) / N**2 * rho
@@ -251,6 +249,8 @@ def _average_pipeline(
     threads: int = 1,
     budget=None,
 ) -> Bracket:
+    if norm_p not in (1, 2):
+        raise ValueError("norm_p must be 1 or 2")
     tuples = list(itertools.product(*(range(1, r + 1) for r in ranges)))
     est = len(tuples) * system.size * (N * math.log2(max(oversample * N, 2)) * oversample + N)
     check_budget(est, budget, "cube average")

@@ -115,6 +115,8 @@ def multiple_recurrence_average(
     norm_p: int = 2,
 ):
     """|| (1/N) sum_n prod_j f_j o T^{a_j n} ||_p for given observables."""
+    if norm_p not in (1, 2):
+        raise ValueError("norm_p must be 1 or 2")
     if len(functions) != len(exponents):
         raise ValueError("need one observable per exponent")
     if N < 1:
@@ -130,9 +132,7 @@ def multiple_recurrence_average(
     w = system.weights
     if norm_p == 2:
         return math.sqrt(fsum((w * np.abs(avg) ** 2).tolist()))
-    if norm_p == 1:
-        return fsum((w * np.abs(avg)).tolist())
-    raise ValueError("norm_p must be 1 or 2")
+    return fsum((w * np.abs(avg)).tolist())
 
 
 # -- uniform version ---------------------------------------------------------

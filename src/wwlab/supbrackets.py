@@ -17,31 +17,61 @@ stay in cache, keeping per row the grid maximum and its first index in
 grid order; every strong average, the degree-2 polynomial phase search
 (one row per t_2 grid value) and the recurrence suprema go through it.
 
-Coarse to fine over dyadic levels: the kernel transforms the base offsets
-r = 0 (mod s), s the largest power of two <= O / 4 (about a 4N-point
-grid), then for h = s / 2, ..., 1 the offsets r = h (mod 2h), each only
-for the rows where a certified bound lets it reach the maximum v found so
-far.  A point of offset r lies a = h grid steps right of offset r - h and
-b = h steps left of offset r + h, or, when r + h >= O, b = O - r steps
-left of (m + 1, 0).  With p the row's average as a function of t, p~ it
-recentred to degree n_c = N // 2 (|p~| = |p|) and q = Re(alpha p~) aligned
-at the point, linear interpolation leaves a remainder of at most
-(a b / 2K^2) sup |q''|, and Bernstein's inequality gives
-sup |q''| <= (2 pi n_c)^2 sup |p|, so
+Coarse to fine: the kernel transforms the base offsets r = 0 (mod s), s
+the largest power of two <= O / 4 (about a 4N-point grid), and then only
+the other offsets a certified bound lets reach the maximum v found so far.
+Both bounds below rest on the same facts.  Base entry (m, r) is
+e^{-2 pi i m / N} p(t_j), p the row's average as a function of t and
+j = m O + r.  p~(t) = e^{-2 pi i c t} p(t) with c = (N + 1) / 2 has
+|p~| = |p| and frequencies of modulus at most n_c = N // 2, so for a
+target t and q = Re(alpha p~) aligned there (q(t) = |p(t)|), Bernstein's
+inequality (p~ is of exponential type 2 pi n_c and bounded on the real
+line) gives sup |q^(k)| <= (2 pi n_c)^k S for any S >= sup |p|.  Every t
+lies within s / 2K of a base point, so S = min(v sec(pi n_c s / K),
+triangle cap) with v the base maximum.
+
+Rows of length _SCREEN_MIN_N or more at oversample 16 or more (s >= 4)
+use a sixth-order bound.  A gap between base points adjacent in grid order
+(s steps apart, fewer past the last base offset) has, by linear
+interpolation of q, every point at most
+max(|b_L|, |b_R|) + (s^2 / 4) beta S with beta = 2 pi^2 n_c^2 / K^2, so
+only gaps with an end above v - margin - (s^2 / 4) beta v sec(pi n_c s / K)
+are screened further.  At a point t of such a gap, with t_k the six base
+points around it in grid order (on lines m - 1 .. m + 1, unwrapped across
+t = 1, where the values repeat), Lagrange interpolation of q gives
+
+    |p(t)|  <=  |sum_k lambda_k p~(t_k)|  +  prod_k |t - t_k| (2 pi n_c)^6 S / 720,
+
+where lambda_k p~(t_k) e^{2 pi i (c t - m / N)}, whose sum over k has the
+same modulus, is the base entry at t_k times the factor
+lambda_k e^{-2 pi i c (t_k - t)} e^{2 pi i (m_k - m) / N}, which depends
+only on the offset of t and the node (``_screen_table``).  An offset
+whose bounds are all at most v - margin is left out; the rest are
+transformed best first, in rounds of one offset per row, the one with the
+largest bound, so every transform raises v before the next screen.
+
+Shorter rows, where a transform costs less than screening its gaps, and
+coarser grids, whose one dyadic level costs less than the screen, refine
+over dyadic levels instead: for h = s / 2, ..., 1 the offsets r = h
+(mod 2h), each only for the rows where the bound lets it reach v.  A point
+of offset r lies a = h grid steps right of offset r - h and b = h steps
+left of offset r + h, or, when r + h >= O, b = O - r steps left of
+(m + 1, 0), and linear interpolation gives
 
     |p(t)|  <=  (b |p_L| + a |p_R|) / (a + b)  +  a b beta S,
-    beta = 2 pi^2 n_c^2 / K^2  <=  pi^2 / (2 O^2),
 
-where S = min(v sec(2 pi n_c h / K), triangle cap) bounds sup |p|, since
-every t lies within h / K of the spacing-2h offsets, whose points are all
-at most v (those left out were certified below it).  Over the neighbour
-offsets' maxima in m the bound covers a whole offset, which is transformed
-for a row only if the bound reaches v - 1e-9 cap and otherwise keeps it as
-its maximum for the next level; the margin covers transform rounding
-(Higham, Accuracy and Stability of Numerical Algorithms, sec. 24.1) many
-times over.  Every point left out lies strictly below the maximum and every
-value compared is the one the full grid computes (same twist, same N-point
-transform), so the outputs are those of the full grid, bit for bit.
+with S = min(v sec(2 pi n_c h / K), triangle cap), since every t lies
+within h / K of the spacing-2h offsets, whose points are all at most v
+(those left out were certified below it).  Over the neighbour offsets'
+maxima in m the bound covers a whole offset, which is transformed for a
+row only if the bound reaches v - 1e-9 cap and otherwise keeps it as its
+maximum for the next level.  On either path the margin 1e-9 cap covers
+transform rounding (Higham, Accuracy and Stability of Numerical
+Algorithms, sec. 24.1) many times over; it is 0 only on a zero row, whose
+first maximum is the base point j = 0.  Every point left out lies strictly
+below the maximum and every value compared is the one the full grid
+computes (same twist, same N-point transform), so the outputs are those of
+the full grid, bit for bit.
 
 Upper bound certificates
 ------------------------
@@ -77,6 +107,7 @@ from ._util import _Memo, check_budget, fsum_complex
 _MAX_CERTIFIED_DEGREE = 2
 _MIN_OVERSAMPLE = 4
 _GRID_BLOCK = 1 << 15  # complex entries per transform block (512 KiB)
+_SCREEN_MIN_N = 128  # shortest rows refined through the sixth-order screen (measured cut-over)
 _POLY_CHUNK = 1 << 18  # complex entries per chunk of twisted rows in sup_polyphase
 _TWIST_BYTES = 8 << 20  # capacity of the twist-table cache
 
@@ -215,10 +246,72 @@ def _twist_table(N: int, oversample: int):
 
 
 def _ifft_max(X: np.ndarray):
-    """Transform the rows of X in place; per row, the largest modulus and its first index."""
+    """Transform the rows of X in place; their moduli and, per row, the largest and its first index."""
     A = np.abs(np.fft.ifft(X, axis=1, out=X))
     m = A.argmax(axis=1)
-    return A[np.arange(m.size), m], m  # read at the argmax: cheaper than a second reduction on short rows
+    return A, A[np.arange(m.size), m], m  # read at the argmax: cheaper than a second reduction on short rows
+
+
+@functools.lru_cache(maxsize=32)
+def _screen_table(N: int, oversample: int):
+    """(slots, weights, rem, sec, lin) of the sixth-order screen (module docstring).
+
+    Row i describes the gap right of base slot i: ``slots[i]`` holds the
+    slots of its offsets (slot O pads short gaps), ``weights[i, a]`` the
+    factors of its six nodes, base points i - 2 .. i + 3 in grid order, at
+    its a-th offset, and ``rem[i, a]`` the remainder there over S.  S is
+    min(v sec, cap) for base maximum v, and lin S bounds a gap's linear
+    remainder.
+    """
+    order, nb, _ = _refinement(oversample)
+    base = order[:nb, 0]
+    gaps = np.diff(base, append=oversample)
+    K, n_c = oversample * N, N // 2
+    g = np.arange(nb)[:, None] + np.arange(-2, 4)
+    shift = g // nb  # nodes on lines m - 1 and m + 1; across t = 1 the values wrap
+    pos = shift * oversample + base[g % nb]
+    slot_of = np.argsort(order[:, 0])
+    slots = np.full((nb, gaps.max() - 1), oversample)
+    weights = np.zeros(slots.shape + (6,), dtype=np.complex128)
+    rem = np.zeros(slots.shape)
+    for i in range(nb):
+        for a, r in enumerate(range(base[i] + 1, base[i] + gaps[i])):
+            d = pos[i] - r  # target to node, in grid steps
+            lagrange = [np.prod(-np.delete(d, k) / (d[k] - np.delete(d, k))) for k in range(6)]
+            weights[i, a] = lagrange * np.exp((2j * math.pi / K) * (shift[i] * oversample - (N + 1) / 2 * d))
+            rem[i, a] = np.prod(np.abs(d) * (2 * math.pi * n_c / K)) / 720
+            slots[i, a] = slot_of[r]
+    for a in (slots, weights, rem):
+        a.flags.writeable = False
+    s = base[1]
+    return slots, weights, rem, _secant(n_c * s, K), s * s / 4 * 2.0 * (math.pi * n_c / K) ** 2
+
+
+def _gap_nodes(F: np.ndarray, p: np.ndarray):
+    """Base values at grid-order neighbours -3 .. 3 of base points p.
+
+    F holds base transforms, shape (base slots, rows, N), and p indexes it
+    flat.  Returns the values, shape (points, 7), and each point's slot and
+    row: columns 1..6 are the nodes of the gap right of the point, columns
+    0..5 those of the gap left of it.
+    """
+    nb, rows, N = F.shape
+    i, rm = np.divmod(p, rows * N)
+    m = rm % N
+    q, slot = np.divmod(i[:, None] + np.arange(-3, 4), nb)
+    return F.reshape(-1)[slot * (rows * N) + (rm - m)[:, None] + (m[:, None] + q) % N], i, rm // N
+
+
+def _gap_bounds(nodes: np.ndarray, i: np.ndarray, S: np.ndarray, table):
+    """Sixth-order bounds at the offsets of gaps right of base slots i, from
+    their six nodes and S >= sup |p| per gap (shape (gaps, 1)); one row of
+    ``table``'s slots per gap."""
+    _, weights, rem, *_ = table
+    bounds = np.empty((i.size, weights.shape[1]))
+    for kind, (w, r) in enumerate(zip(weights, rem)):  # gathering weights[i] takes 96 bytes a gap and offset
+        at = i == kind
+        bounds[at] = np.abs(np.einsum("gk,ak->ga", nodes[at], w)) + r * S[at]
+    return bounds
 
 
 def _grid_sup_rows(U: np.ndarray, oversample: int):
@@ -233,57 +326,101 @@ def _grid_sup_rows(U: np.ndarray, oversample: int):
     of u_n e^{2 pi i n r / K} placed at position n - 1 (the placement only
     multiplies the entry by e^{-2 pi i m / N}, which leaves its modulus
     alone), and the 1/N of the inverse transform is the average itself.
-    Every row goes through the base offsets; each level then transforms
-    the (row, offset) pairs its bound (module docstring) cannot rule out,
-    so the outputs are those of the full grid.  Transforms go in blocks of
-    about _GRID_BLOCK entries, from U made C-contiguous, so a row's results
-    do not depend on the batch it arrives in.
+    Every row goes through the base offsets; rows of length _SCREEN_MIN_N
+    or more at oversample 16 or more then transform, best first, the
+    (row, offset) pairs the sixth-order screen cannot rule out, and the
+    others refine over dyadic levels (module docstring), so the outputs
+    are those of the full grid.  Transforms go in blocks of about
+    _GRID_BLOCK entries, each holding all base offsets of its rows, from U
+    made C-contiguous, so a row's results do not depend on the batch it
+    arrives in.
     """
     U = np.ascontiguousarray(U, dtype=np.complex128)  # rows are gathered again below
     rows, N = U.shape
     K = oversample * N
     n, twist = _twist_table(N, oversample)
     order, nb, levels = _refinement(oversample)
+    screen = _screen_table(N, oversample) if rows and N >= _SCREEN_MIN_N and len(levels) > 1 else None
     pair_block = max(1, _GRID_BLOCK // N)
-    row_block, e_block = max(1, pair_block // nb), min(nb, pair_block)
+    row_block = max(1, pair_block // nb)
+    n_c = N // 2
+    beta = 2.0 * (math.pi * n_c / K) ** 2
+    if screen:
+        slots, _, _, sec_s, lin = screen
+        floor_ratio = 1.0 - lin * sec_s  # v less the linear remainder of a gap, over v
+        found = []
     # per slot c (offset order[c]) and row: the maximum over m and its first
-    # m, or for an offset left out the bound that excluded it; slot O holds
-    # beta S for the level being screened
+    # m, or for an offset left out the bound that excluded it (dyadic
+    # levels) or -inf (screen); slot O holds beta S for the level being
+    # screened
     cand_v = np.zeros((oversample + 1, rows))
     cand_m = np.zeros((oversample, rows), dtype=np.intp)
     deriv, cap = np.empty(rows), np.empty(rows)
-    for s in range(0, rows, row_block):
-        V = U[s : s + row_block]
+    for start in range(0, rows, row_block):
+        blk = slice(start, start + row_block)
+        V = U[blk]
         absV = np.abs(V)
-        deriv[s : s + row_block] = np.add.reduce(absV * n, axis=1)
-        cap[s : s + row_block] = np.add.reduce(absV, axis=1)
-        for e0 in range(0, nb, e_block):
-            slots = slice(e0, min(e0 + e_block, nb))
-            v, m = _ifft_max((V * twist[slots, None, :]).reshape(-1, N))  # u first: the bits depend on it
-            cand_v[slots, s : s + row_block] = v.reshape(-1, len(V))
-            cand_m[slots, s : s + row_block] = m.reshape(-1, len(V))
+        deriv[blk] = np.add.reduce(absV * n, axis=1)
+        cap[blk] = np.add.reduce(absV, axis=1)
+        cap[blk] /= N
+        F = V * twist[:nb, None, :]  # u first: the bits depend on it
+        A, v, m = _ifft_max(F.reshape(-1, N))
+        cand_v[:nb, blk] = v.reshape(nb, -1)
+        cand_m[:nb, blk] = m.reshape(nb, -1)
+        if screen:
+            # the gaps next to base points above the floor keep the nodes of
+            # their sixth-order bounds; every other gap is certified
+            floor = np.maximum.reduce(cand_v[:nb, blk], axis=0) * floor_ratio - 1e-9 * cap[blk]
+            A = A.reshape(-1)
+            p = (A > floor.min()).nonzero()[0]  # a scalar floor first: a broadcast one costs 4 times more
+            nodes, i, row = _gap_nodes(F, p[A[p] > floor[p // N % len(floor)]])
+            found.append((nodes, i, row + start))
+        del F, A  # before the next block allocates its own
     deriv *= 2.0 * math.pi / N
-    cap /= N
     lower = np.maximum.reduce(cand_v[:nb], axis=0)
-    n_c = N // 2
-    beta = 2.0 * (math.pi * n_c / K) ** 2
-    beta_cap = beta * cap
     margin = 1e-9 * cap  # covers transform rounding (module docstring)
-    for h, slots, source, weights in levels:
-        np.minimum(lower * (beta * _secant(2 * n_c * h, K)), beta_cap, out=cand_v[oversample])
-        level_v, level_m, level_twist = cand_v[slots], cand_m[slots], twist[slots]
-        terms = cand_v.take(source, axis=0)  # each new slot's two neighbours and beta S
-        terms *= weights
-        np.add.reduce(terms, axis=0, out=level_v)
-        del terms  # before the transforms allocate theirs
-        pair_c, pair_row = (level_v >= lower - margin).nonzero()
-        for p0 in range(0, pair_row.size, pair_block):
-            c, row = pair_c[p0 : p0 + pair_block], pair_row[p0 : p0 + pair_block]
-            X = U.take(row, axis=0)
-            X *= level_twist.take(c, axis=0)
-            v, level_m[c, row] = _ifft_max(X)
-            level_v[c, row] = v
-            np.maximum.at(lower, row, v)
+    if screen:
+        # per slot and row: the largest bound not yet transformed
+        pending = np.full((oversample + 1) * rows, -np.inf)
+        nodes, i, row = (np.concatenate(a) for a in zip(*found))
+        S = np.minimum(lower * sec_s, cap)[row, None]
+        for gap, cols in ((i, slice(1, 7)), ((i - 1) % nb, slice(0, 6))):
+            at = slots[gap] * rows + row[:, None]  # flat: ufunc.at is 10 times slower on an index tuple
+            np.maximum.at(pending, at.ravel(), _gap_bounds(nodes[:, cols], gap, S, screen).ravel())
+        pending = pending.reshape(oversample + 1, rows)
+        del found, nodes, S  # before the transforms allocate theirs
+        cand_v[nb:] = -np.inf  # offsets left out stay below every maximum
+        # best first: each row's largest bound, then the rest against the raised maximum
+        live = np.arange(rows)
+        while live.size:
+            c = pending[:oversample, live].argmax(axis=0)
+            keep = pending[c, live] > lower[live] - margin[live]
+            live, c = live[keep], c[keep]
+            for p0 in range(0, live.size, pair_block):
+                row, slot = live[p0 : p0 + pair_block], c[p0 : p0 + pair_block]
+                X = U.take(row, axis=0)
+                X *= twist.take(slot, axis=0)
+                v, cand_m[slot, row] = _ifft_max(X)[1:]  # drops the moduli at once
+                cand_v[slot, row] = v
+                lower[row] = np.maximum(lower[row], v)
+            pending[c, live] = -np.inf
+    else:
+        beta_cap = beta * cap
+        for h, slots, source, weights in levels:
+            np.minimum(lower * (beta * _secant(2 * n_c * h, K)), beta_cap, out=cand_v[oversample])
+            level_v, level_m, level_twist = cand_v[slots], cand_m[slots], twist[slots]
+            terms = cand_v.take(source, axis=0)  # each new slot's two neighbours and beta S
+            terms *= weights
+            np.add.reduce(terms, axis=0, out=level_v)
+            del terms  # before the transforms allocate theirs
+            pair_c, pair_row = (level_v >= lower - margin).nonzero()
+            for p0 in range(0, pair_row.size, pair_block):
+                c, row = pair_c[p0 : p0 + pair_block], pair_row[p0 : p0 + pair_block]
+                X = U.take(row, axis=0)
+                X *= level_twist.take(c, axis=0)
+                v, level_m[c, row] = _ifft_max(X)[1:]
+                level_v[c, row] = v
+                np.maximum.at(lower, row, v)
     # the largest value wins, then the first grid index j = m * oversample + r
     first = cand_v[:oversample] == lower
     best_j = np.minimum.reduce(cand_m * oversample + order, axis=0, where=first, initial=K)

@@ -1,14 +1,17 @@
 """Strong/weak cube averages, schedules, and vertex assignments."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wwlab import averages
 from wwlab._util import BudgetExceeded, clear_memo, memo
 from wwlab.averages import (
+    _weak_kernel,
     CubeAssignment,
     CubeVertex,
     ScheduleR,
@@ -28,6 +31,7 @@ from wwlab.systems import (
     cyclic_shift,
     identity_system,
     random_mean_zero,
+    random_permutation,
 )
 
 
@@ -206,6 +210,57 @@ def test_l1_norm_bounded_by_l2():
     one = ww_average(system, f, 2, 16, norm_p=1)
     two = ww_average(system, f, 2, 16, norm_p=2)
     assert one.lower <= two.upper + 1e-12
+
+
+def test_norm_p_is_checked_before_any_kernel_call(monkeypatch):
+    calls = []
+    monkeypatch.setattr(averages, "_grid_sup_rows", lambda *a: calls.append(a))
+    monkeypatch.setattr(averages, "cube_product", lambda *a: calls.append(a))
+    system = random_permutation(64, 0)
+    f = random_mean_zero(system, 0)
+    assignment = CubeAssignment.diagonal(f, 1)
+    for call in (
+        lambda: ww_average(system, f, 2, 16, norm_p=3),
+        lambda: ww_average_alt(system, f, 1, 16, ScheduleR(()), norm_p=0),
+        lambda: off_diagonal_average(system, assignment, 16, norm_p=1.5),
+    ):
+        with pytest.raises(ValueError, match="norm_p"):
+            call()
+    assert calls == []
+
+
+def _weak_rho_whole_table(system, values, N):
+    """The autocorrelation as one (N, M) table of shifted values."""
+    shifted = values[system.orbit_indices(slice(None), 1, np.arange(N)[:, None])]
+    return (shifted * np.conjugate(values)[None, :] * system.weights[None, :]).sum(axis=1)
+
+
+@pytest.mark.parametrize("budget", [1, 1000, 1 << 18])
+@pytest.mark.parametrize("size, N", [(37, 100), (521, 64), (4096, 33)])
+def test_weak_kernel_lag_chunks_match_whole_table(monkeypatch, budget, size, N):
+    # lag chunks of 1 row, of rows that split N unevenly, and the default
+    system = random_permutation(size, 2)
+    values = random_mean_zero(system, 2).values
+    seen = []
+    monkeypatch.setattr(averages, "sup_norm_trig", lambda c, o: seen.append(c) or averages.Bracket(0.0, 0.0, ()))
+    monkeypatch.setattr(averages, "_POINT_CHUNK_BUDGET", budget)
+    _weak_kernel(system, values, N, 16)
+    d = np.arange(N)
+    pos = (N - d) / N**2 * _weak_rho_whole_table(system, values, N)
+    assert np.array_equal(seen[0][N - 1 :], pos)
+
+
+def test_weak_kernel_streams_lag_chunks():
+    # no (N, M) table of shifted values: 96 MiB when built whole
+    system = random_permutation(4096, 1)
+    f = random_mean_zero(system, 1)
+    tracemalloc.start()
+    try:
+        weak_ww_average(system, f, 1, 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 def test_weak_bounded_by_strong():

@@ -67,6 +67,15 @@ def test_multiple_recurrence_validation():
         multiple_recurrence_average(system, [f], ExponentVector((1,)), 4, norm_p=3)
 
 
+def test_multiple_recurrence_checks_norm_p_before_the_loop(monkeypatch):
+    calls = []
+    monkeypatch.setattr(recurrence, "companion_weights", lambda *a: calls.append(a) or iter(()))
+    system = cyclic_shift(5)
+    with pytest.raises(ValueError, match="norm_p"):
+        multiple_recurrence_average(system, [constant_observable(system)], ExponentVector((1,)), 4, norm_p=3)
+    assert calls == []
+
+
 def test_companion_weights_unit():
     system = cyclic_shift(7)
     ones = constant_observable(system)

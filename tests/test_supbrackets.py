@@ -12,10 +12,14 @@ from wwlab.averages import ww_average
 from wwlab import supbrackets
 from wwlab.supbrackets import (
     _GRID_BLOCK,
+    _SCREEN_MIN_N,
     _TWIST_BYTES,
     Bracket,
+    _gap_bounds,
+    _gap_nodes,
     _grid_sup_rows,
     _refinement,
+    _screen_table,
     _secant,
     _twist_table,
     modulated_mean,
@@ -208,6 +212,11 @@ def test_grid_kernel_row_independent_of_batch(N, oversample):
             assert (alone[0][0], alone[1][0], alone[2][0]) == (lower[pad + i], upper[pad + i], arg[pad + i])
 
 
+@pytest.mark.parametrize("N", [7, _SCREEN_MIN_N])
+def test_grid_kernel_takes_an_empty_batch(N):
+    assert all(a.shape == (0,) for a in _grid_sup_rows(np.zeros((0, N), dtype=np.complex128), 16))
+
+
 def _all_offsets_oracle(U, oversample):
     """The former kernel: all ``oversample`` N-point transforms of every row."""
     rows, N = U.shape
@@ -255,12 +264,14 @@ def _assert_same_bits(U, oversample):
 
 
 @pytest.mark.parametrize("oversample", [4, 5, 6, 7, 12, 16, 19, 24, 64])
-@pytest.mark.parametrize("N", [1, 2, 3, 7, 8, 64, 100, 256, 1024, 1100])
+@pytest.mark.parametrize("N", [1, 2, 3, 7, 8, 64, 100, _SCREEN_MIN_N - 1, _SCREEN_MIN_N, 256, 1024, 1100])
 def test_grid_kernel_matches_all_offsets_oracle_bit_for_bit(N, oversample):
     # oversample 4 to 7 is all base; 12 has one level, 16, 19 and 24 two
     # (at 19 the last level-2 offset is 2 steps from its left neighbour and
-    # 1 from (m + 1, 0)), 64 four; N = 1100 splits a row's base offsets
-    # over two blocks at oversample 64
+    # 1 from (m + 1, 0)), 64 four; rows from _SCREEN_MIN_N on take the
+    # sixth-order screen instead from oversample 16 on, whose gaps at 19
+    # are 4, 4, 4, 4 and 3 steps; N = 1100 splits the rows into uneven
+    # blocks
     rng = np.random.default_rng(N * oversample)
     U = np.vstack([_kernel_rows(N, 31 * N + oversample), np.exp(2j * np.pi * rng.random((4, N)))])
     _assert_same_bits(U, oversample)
@@ -319,7 +330,7 @@ def _peaked_rows(N, oversample, seed):
 
 
 @pytest.mark.parametrize("oversample", [4, 5, 6, 7, 12, 16, 17, 19, 24, 64])
-@pytest.mark.parametrize("N", [1, 2, 3, 8, 64, 100])
+@pytest.mark.parametrize("N", [1, 2, 3, 8, 64, 100, _SCREEN_MIN_N, 256])
 def test_grid_kernel_finds_peaks_on_odd_offsets(N, oversample):
     U = _peaked_rows(N, oversample, N + oversample)
     _assert_same_bits(U, oversample)
@@ -327,6 +338,48 @@ def test_grid_kernel_finds_peaks_on_odd_offsets(N, oversample):
         j = np.rint(_grid_sup_rows(U, oversample)[2] * oversample * N).astype(int)
         expect = _peak_points(N, oversample)
         assert list(j[: len(expect)]) == expect
+
+
+def _screen_rows(N, oversample, seed):
+    """Random unimodular and Gaussian rows, near-tone rows (one frequency
+    with 1% noise) and the peaked rows above."""
+    rng = np.random.default_rng(seed)
+    n = np.arange(1, N + 1)
+    tones = np.exp(-2j * np.pi * np.outer(rng.random(4), n)) * (1 + 0.01 * rng.standard_normal((4, N)))
+    return np.vstack([
+        np.exp(2j * np.pi * rng.random((4, N))),
+        rng.standard_normal((4, N)) + 1j * rng.standard_normal((4, N)),
+        tones,
+        _peaked_rows(N, oversample, seed),
+    ])
+
+
+@pytest.mark.parametrize("oversample", [8, 12, 16, 19, 24, 64])
+@pytest.mark.parametrize("N", [2, 7, 64, _SCREEN_MIN_N, 256, 1024])
+def test_screen_bounds_are_at_least_every_grid_value(N, oversample):
+    # every gap of every row, reached from its left end (as the kernel does
+    # for base points above the screen's floor) and from its right end
+    U = _screen_rows(N, oversample, N + oversample)
+    _, nb, _ = _refinement(oversample)
+    _, twist = _twist_table(N, oversample)
+    values = np.abs(np.fft.ifft(U * twist[:, None, :], axis=2))  # all offsets, in slot order
+    F = np.fft.ifft(U * twist[:nb, None, :], axis=2)
+    p = np.arange(F.size)
+    nodes, i, row = _gap_nodes(F, p)
+    m = p % N
+    table = _screen_table(N, oversample)
+    slots, _, _, sec, lin = table
+    S = np.minimum(np.abs(F).max(axis=(0, 2)) * sec, np.abs(U).sum(axis=1) / N)[row, None]
+    for gap, cols, line in ((i, slice(1, 7), m), ((i - 1) % nb, slice(0, 6), (m - (i == 0)) % N)):
+        target = slots[gap] < oversample  # the rest pads gaps shorter than s
+        row_at, line_at = (np.broadcast_to(a[:, None], target.shape)[target] for a in (row, line))
+        grid = values[slots[gap][target], row_at, line_at]
+        assert np.all(_gap_bounds(nodes[:, cols], gap, S, table)[target] >= grid)
+        # the linear bound that decides which gaps are screened at all
+        ends = np.abs(nodes[:, cols][:, 2:4]).max(axis=1, keepdims=True)
+        assert np.all(np.broadcast_to(ends + lin * S, target.shape)[target] >= grid)
+    # every offset off the base lies in exactly one gap
+    assert sorted(slots[slots < oversample]) == list(range(nb, oversample))
 
 
 def _exact_tie_rows(oversample, count, h, step):
@@ -376,9 +429,10 @@ def _transforms_per_row(monkeypatch, U, oversample):
 
 def test_grid_kernel_skips_most_odd_offsets(monkeypatch):
     # 256 random unimodular rows at N = 1024: the base offsets (4 of 16)
-    # plus those the certificate cannot rule out, 9.2 per row
+    # plus those the sixth-order screen cannot rule out, 4.9 per row (9.2
+    # with the dyadic levels' linear screen)
     U = np.exp(2j * np.pi * np.random.default_rng(0).random((256, 1024)))
-    assert _transforms_per_row(monkeypatch, U, 16) <= 9.6
+    assert _transforms_per_row(monkeypatch, U, 16) <= 6.0
 
 
 def test_grid_kernel_screens_short_rows_at_high_oversample(monkeypatch):
