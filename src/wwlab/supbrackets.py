@@ -30,13 +30,13 @@ line) gives sup |q^(k)| <= (2 pi n_c)^k S for any S >= sup |p|.  Every t
 lies within s / 2K of a base point, so S = min(v sec(pi n_c s / K),
 triangle cap) with v the base maximum.
 
-Rows of length _SCREEN_MIN_N or more at oversample 16 or more (s >= 4)
-use a sixth-order bound.  A gap between base points adjacent in grid order
+Rows of length _SCREEN_MIN_N or more use a sixth-order bound.  A gap between base points adjacent in grid order
 (s steps apart, fewer past the last base offset) has, by linear
 interpolation of q, every point at most
 max(|b_L|, |b_R|) + (s^2 / 4) beta S with beta = 2 pi^2 n_c^2 / K^2, so
 only gaps with an end above v - margin - (s^2 / 4) beta v sec(pi n_c s / K)
-are screened further.  At a point t of such a gap, with t_k the six base
+are screened further, by the transform block that holds the row's base
+offsets, so the screen's scratch stays within a block.  At a point t of such a gap, with t_k the six base
 points around it in grid order (on lines m - 1 .. m + 1, unwrapped across
 t = 1, where the values repeat), Lagrange interpolation of q gives
 
@@ -50,9 +50,8 @@ whose bounds are all at most v - margin is left out; the rest are
 transformed best first, in rounds of one offset per row, the one with the
 largest bound, so every transform raises v before the next screen.
 
-Shorter rows, where a transform costs less than screening its gaps, and
-coarser grids, whose one dyadic level costs less than the screen, refine
-over dyadic levels instead: for h = s / 2, ..., 1 the offsets r = h
+Shorter rows, where a transform costs less than screening its gaps,
+refine over dyadic levels instead: for h = s / 2, ..., 1 the offsets r = h
 (mod 2h), each only for the rows where the bound lets it reach v.  A point
 of offset r lies a = h grid steps right of offset r - h and b = h steps
 left of offset r + h, or, when r + h >= O, b = O - r steps left of
@@ -327,9 +326,9 @@ def _grid_sup_rows(U: np.ndarray, oversample: int):
     multiplies the entry by e^{-2 pi i m / N}, which leaves its modulus
     alone), and the 1/N of the inverse transform is the average itself.
     Every row goes through the base offsets; rows of length _SCREEN_MIN_N
-    or more at oversample 16 or more then transform, best first, the
-    (row, offset) pairs the sixth-order screen cannot rule out, and the
-    others refine over dyadic levels (module docstring), so the outputs
+    or more then transform, best first, the (row, offset) pairs the
+    sixth-order screen cannot rule out, and shorter rows refine over
+    dyadic levels (module docstring), so the outputs
     are those of the full grid.  Transforms go in blocks of about
     _GRID_BLOCK entries, each holding all base offsets of its rows, from U
     made C-contiguous, so a row's results do not depend on the batch it
@@ -340,7 +339,7 @@ def _grid_sup_rows(U: np.ndarray, oversample: int):
     K = oversample * N
     n, twist = _twist_table(N, oversample)
     order, nb, levels = _refinement(oversample)
-    screen = _screen_table(N, oversample) if rows and N >= _SCREEN_MIN_N and len(levels) > 1 else None
+    screen = _screen_table(N, oversample) if rows and N >= _SCREEN_MIN_N else None
     pair_block = max(1, _GRID_BLOCK // N)
     row_block = max(1, pair_block // nb)
     n_c = N // 2
@@ -348,7 +347,8 @@ def _grid_sup_rows(U: np.ndarray, oversample: int):
     if screen:
         slots, _, _, sec_s, lin = screen
         floor_ratio = 1.0 - lin * sec_s  # v less the linear remainder of a gap, over v
-        found = []
+        pending = np.full((oversample + 1) * rows, -np.inf)  # per slot and row: the largest bound not yet transformed
+        found, held = [], 0
     # per slot c (offset order[c]) and row: the maximum over m and its first
     # m, or for an offset left out the bound that excluded it (dyadic
     # levels) or -inf (screen); slot O holds beta S for the level being
@@ -370,25 +370,28 @@ def _grid_sup_rows(U: np.ndarray, oversample: int):
         if screen:
             # the gaps next to base points above the floor keep the nodes of
             # their sixth-order bounds; every other gap is certified
-            floor = np.maximum.reduce(cand_v[:nb, blk], axis=0) * floor_ratio - 1e-9 * cap[blk]
+            v = np.maximum.reduce(cand_v[:nb, blk], axis=0)  # the block holds all base offsets of its rows
+            floor = v * floor_ratio - 1e-9 * cap[blk]
             A = A.reshape(-1)
             p = (A > floor.min()).nonzero()[0]  # a scalar floor first: a broadcast one costs 4 times more
             nodes, i, row = _gap_nodes(F, p[A[p] > floor[p // N % len(floor)]])
-            found.append((nodes, i, row + start))
+            found.append((nodes, i, row + start, np.minimum(v * sec_s, cap[blk])[row]))
+            held += nodes.size
+            if held >= _GRID_BLOCK or start + row_block >= rows:
+                # bounded once the kept nodes fill a block, not per block,
+                # whose few gaps (about 33 on a strong-avg chunk) cost less
+                # than the calls that bound them
+                nodes, i, row, S = (np.concatenate(a) for a in zip(*found))
+                for gap, cols in ((i, slice(1, 7)), ((i - 1) % nb, slice(0, 6))):
+                    at = slots[gap] * rows + row[:, None]  # flat: ufunc.at is 10 times slower on an index tuple
+                    np.maximum.at(pending, at.ravel(), _gap_bounds(nodes[:, cols], gap, S[:, None], screen).ravel())
+                found, held = [], 0
         del F, A  # before the next block allocates its own
     deriv *= 2.0 * math.pi / N
     lower = np.maximum.reduce(cand_v[:nb], axis=0)
     margin = 1e-9 * cap  # covers transform rounding (module docstring)
     if screen:
-        # per slot and row: the largest bound not yet transformed
-        pending = np.full((oversample + 1) * rows, -np.inf)
-        nodes, i, row = (np.concatenate(a) for a in zip(*found))
-        S = np.minimum(lower * sec_s, cap)[row, None]
-        for gap, cols in ((i, slice(1, 7)), ((i - 1) % nb, slice(0, 6))):
-            at = slots[gap] * rows + row[:, None]  # flat: ufunc.at is 10 times slower on an index tuple
-            np.maximum.at(pending, at.ravel(), _gap_bounds(nodes[:, cols], gap, S, screen).ravel())
         pending = pending.reshape(oversample + 1, rows)
-        del found, nodes, S  # before the transforms allocate theirs
         cand_v[nb:] = -np.inf  # offsets left out stay below every maximum
         # best first: each row's largest bound, then the rest against the raised maximum
         live = np.arange(rows)

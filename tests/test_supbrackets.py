@@ -269,8 +269,8 @@ def test_grid_kernel_matches_all_offsets_oracle_bit_for_bit(N, oversample):
     # oversample 4 to 7 is all base; 12 has one level, 16, 19 and 24 two
     # (at 19 the last level-2 offset is 2 steps from its left neighbour and
     # 1 from (m + 1, 0)), 64 four; rows from _SCREEN_MIN_N on take the
-    # sixth-order screen instead from oversample 16 on, whose gaps at 19
-    # are 4, 4, 4, 4 and 3 steps; N = 1100 splits the rows into uneven
+    # sixth-order screen instead, whose gaps at 19 are 4, 4, 4, 4 and 3
+    # steps and at 12 two steps; N = 1100 splits the rows into uneven
     # blocks
     rng = np.random.default_rng(N * oversample)
     U = np.vstack([_kernel_rows(N, 31 * N + oversample), np.exp(2j * np.pi * rng.random((4, N)))])
@@ -380,6 +380,27 @@ def test_screen_bounds_are_at_least_every_grid_value(N, oversample):
         assert np.all(np.broadcast_to(ends + lin * S, target.shape)[target] >= grid)
     # every offset off the base lies in exactly one gap
     assert sorted(slots[slots < oversample]) == list(range(nb, oversample))
+
+
+def test_screen_scratch_stays_within_a_block_on_flat_rows():
+    # quadratic Weyl sums, as the degree-2 phase search passes them: |p| is
+    # nearly flat, so almost every base point is above the screen's floor;
+    # their bounds are taken one transform block at a time (keeping every
+    # block's candidate nodes to the end of the call took about 22 MiB
+    # here, the dyadic levels 1.8 MiB)
+    N, rows = 2 * _SCREEN_MIN_N, 2048
+    K2 = 16 * N * N
+    j2 = np.random.default_rng(0).integers(0, K2, rows)
+    n = np.arange(1, N + 1)
+    U = np.exp(2j * np.pi * np.outer(j2 / K2, n * n % K2))
+    _grid_sup_rows(U[:1], 16)  # tables cached before the count
+    tracemalloc.start()
+    try:
+        _grid_sup_rows(U, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
 
 
 def _exact_tie_rows(oversample, count, h, step):
