@@ -9,21 +9,27 @@ but g_l frozen the average is linear in g_l, A = K_l g_l, and the squared
 norm is the positive semidefinite quadratic A^H W A.  The maximization is
 Gauss-Seidel coordinate ascent on it: each value of g_l in turn takes the
 closed-form phase (or sign) that maximizes the objective with the others
-fixed, which never decreases it.  K_l is built once per call for k = 1 and
-once per companion and cycle for k >= 2, one block of rows (points) at a
-time, so a fill's scratch has a fixed size whatever N and M.  For k = 1
-each block gathers its own orbits, so no (N, M) table exists and the dense
-M x M kernel is the call's largest array; for k >= 2 the orbit tables are
-gathered once per call and sliced.  A is kept up to date rather than
-recomputed, and the coordinates are swept in fixed blocks: one matrix
-product gives every ascent direction of a block, a scalar loop applies the
-updates in natural order, coupled only through the block's Gram matrix,
-and one product pushes the block's changes into A.  The Gram rows below
-the diagonal, and the real diagonal, are turned into Python numbers once
-per kernel fill (once per call for k = 1), so the scalar loop reads them
-directly on every sweep.  The iterates are those of the plain
-one-coordinate-at-a-time sweep, up to rounding.  Tiny instances can be
-solved exactly over the real-sign class by enumeration.
+fixed, which never decreases it.  The coordinates are swept in blocks of
+16 consecutive points, and K_l is stored as one column slab per block:
+block Y keeps only the rows its columns reach, R_Y = {T^{-(l+1) n} y :
+y in Y, 1 <= n <= N}, as a dense |R_Y| x 16 array.  That is at most
+(l + 1) N + 15 rows where the labels follow the orbits (a cycle in natural
+order) and at most 16 N rows in general, so the kernel holds at most
+M min(M, 16 N) entries and no M x M array exists; when R_Y covers every
+point the same code runs full-height slabs.  Each slab gathers the orbits
+of its own columns, so a fill's scratch is 16 x N.  K_l is filled once per
+call for k = 1; for k >= 2 the slab structure of each companion (rows, bins
+and orbit tables) is gathered once per call and only the values are
+refilled every cycle.  A is kept up to date rather than recomputed: per
+block, one product gives every ascent direction of the block from A on
+R_Y, a scalar loop applies the updates in natural order, coupled only
+through the block's Gram matrix, and one product pushes the block's
+changes into A on R_Y.  The Gram rows below the diagonal, and the real
+diagonal, are turned into Python numbers once per kernel fill (once per
+call for k = 1), so the scalar loop reads them directly on every sweep.
+The iterates are those of the plain one-coordinate-at-a-time sweep, up to
+rounding.  Tiny instances can be solved exactly over the real-sign class
+by enumeration.
 
 Results are memoised per process (see :mod:`wwlab._util`): a repeated
 call with the same system map and weights, observable values and numeric
@@ -137,105 +143,117 @@ def multiple_recurrence_average(
 
 # -- uniform version ---------------------------------------------------------
 
-_BLOCK = 32  # coordinates per Gauss-Seidel block
-_FILL_BLOCK = 1 << 16  # points per kernel fill block, times max(N, M): 1 MiB of complex terms
+_SLAB = 16  # columns per kernel slab: the coordinates of one Gauss-Seidel block
 
 
-def _kernel_rows(system: FiniteSystem, f: Observable, k: int, N: int):
-    """Source of the orbit data a kernel fill reads, one block of points at a time.
+def _slab_layout(system: FiniteSystem, k: int, l: int, N: int):
+    """The fixed structure of the column slabs of K_l, one slab at a time.
 
-    ``rows(x)`` returns f o T^{(k+1) n} and the companions' index tables
-    T^{(j+1) n}, one orbit per row (shape (points, N)), on the points of
-    the slice ``x``.  For k = 1 the kernel is filled once per call, so each
-    block gathers its own orbits and no (N, M) table is kept; for k >= 2 it
-    is refilled every cycle, so the tables are gathered once and sliced.
+    Slab Y covers _SLAB consecutive columns y and only the rows they reach,
+    R_Y = {T^{-(l+1) n} y : y in Y, 1 <= n <= N} in increasing order; every
+    other entry of those columns is zero.  Yields R_Y, w[R_Y], the local bin
+    (row in R_Y) |Y| + (y - start) of each term, y-major and n increasing,
+    and the orbit tables the terms read: T^{(k-l) n} y for f, then
+    T^{(j-l) n} y for each companion j != l.  Each slab gathers the orbits
+    of its own columns, so a slab's tables are |Y| x N; bins and tables are
+    int32 (16 M < 2**31 on any system whose kernel fits in memory), which
+    halves the layouts a call at k >= 2 keeps.
     """
-    points, n = np.arange(system.size)[:, None], np.arange(1, N + 1)
-    if k == 1:
-        return lambda x: (f.values[system.orbit_indices(points[x], 2, n)], [system.orbit_indices(points[x], 1, n)])
-    f_seq = f.values[system.orbit_indices(points, k + 1, n)]
-    tables = [system.orbit_indices(points, a, n) for a in range(1, k + 1)]
-    return lambda x: (f_seq[x], [tbl[x] for tbl in tables])
+    n = np.arange(1, N + 1)
+    local = np.empty(system.size, dtype=np.intp)  # row in R_Y, for the points of R_Y
+    for s in range(0, system.size, _SLAB):
+        y = np.arange(s, min(s + _SLAB, system.size))[:, None]
+        reach = system.orbit_indices(y, -(l + 1), n)
+        rows = np.sort(reach, axis=None)
+        rows = rows[np.diff(rows, prepend=-1) > 0]
+        local[rows] = np.arange(len(rows))
+        bins = (local[reach] * len(y) + np.arange(len(y))[:, None]).ravel().astype(np.int32)
+        steps = [k - l] + [j - l for j in range(k) if j != l]  # f's first, then the other companions'
+        tables = [system.orbit_indices(y, a, n).astype(np.int32) for a in steps]
+        # complex weights: w * A then multiplies without casting w, to the same values
+        yield rows, system.weights[rows].astype(np.complex128), bins, tables
 
 
-def _fill_kernel(K, rows, g_list, l: int, N: int) -> None:
-    """Overwrite K so that A(x) = sum_y K[x, y] g_l(y), other companions frozen.
+def _fill_slabs(layout, f: Observable, g_list, l: int, N: int) -> list:
+    """Slabs (R_Y, w[R_Y], K_l[R_Y, Y]) of A = K_l g_l, other companions frozen.
 
-    Entry (x, T^{(l+1) n} x) sums f(T^{(k+1) n} x) prod_{j != l} g_j(T^{(j+1) n} x) / N
-    over n = 1..N in increasing order, so repeated entries, where N exceeds a
-    cycle length, round as a plain loop.  K is filled one block of rows
-    (points x) at a time from ``rows`` (see :func:`_kernel_rows`): one
-    sequential bincount over the block's local bins (x - start) M + y sees
-    each entry's terms in increasing n, so every entry is bit-identical to
-    one bincount over the whole (N, M) table of terms, while the scratch
-    stays O(_FILL_BLOCK).
+    Entry (T^{-(l+1) n} y, y) sums f(T^{(k-l) n} y) prod_{j != l} g_j(T^{(j-l) n} y) / N
+    over n = 1..N in increasing order, so repeated entries, where N exceeds
+    a cycle length, round as a plain loop: one sequential bincount per slab
+    over the bins of :func:`_slab_layout` sees each entry's terms in
+    increasing n, and every entry is bit-identical to the same entry of one
+    bincount over the whole (N, M) table of terms.
     """
-    M = K.shape[0]
-    step = max(1, _FILL_BLOCK // max(M, N))
+    others = g_list[:l] + g_list[l + 1:]
     scale = 1.0 / N
-    for s in range(0, M, step):
-        x = slice(s, min(s + step, M))
-        b, tables = rows(x)
-        for j, (g, tbl) in enumerate(zip(g_list, tables)):
-            if j != l:
-                # not b * g[tbl]: numpy may reuse the temporary g[tbl] and swap the
-                # operands, and a complex product with FMA rounds asymmetrically
-                b = np.multiply(b, g[tbl])
+    slabs = []
+    for rows, w, bins, (f_table, *tables) in layout:
+        b = f.values[f_table]
+        for g, tbl in zip(others, tables):
+            # not b * g[tbl]: numpy may reuse the temporary g[tbl] and swap the
+            # operands, and a complex product with FMA rounds asymmetrically
+            b = np.multiply(b, g[tbl])
+        # row-major: each entry of c = S^H W A and of S d is then one dot product,
+        # which OpenBLAS computes whole at any thread count (column-major S d is
+        # split between threads by rows, which moves its last bits)
+        S = np.empty((len(rows), len(b)), dtype=np.complex128)
         # b / N divides by N + 0j, which numpy does as (re + im 0) (1 / N) and
         # (im - re 0) (1 / N): each part times 1 / N up to the sign of a zero,
         # which the bincount's +0.0 start erases
-        idx = (tables[l] + np.arange(0, len(b) * M, M)[:, None]).ravel()
-        Kb = K[x]
-        Kb.real = np.bincount(idx, (b.real * scale).ravel(), Kb.size).reshape(Kb.shape)
-        Kb.imag = np.bincount(idx, (b.imag * scale).ravel(), Kb.size).reshape(Kb.shape)
+        S.real = np.bincount(bins, (b.real * scale).ravel(), S.size).reshape(S.shape)
+        S.imag = np.bincount(bins, (b.imag * scale).ravel(), S.size).reshape(S.shape)
+        slabs.append((rows, w, S))
+    return slabs
 
 
-def _block_grams(K, w) -> list:
-    """Gram rows of G = K_Y^H W K_Y for the blocks Y of columns of K.
+def _kernel_apply(slabs, g) -> np.ndarray:
+    """A = K g, accumulated slab by slab."""
+    A = np.zeros(len(g), dtype=np.complex128)
+    for s, (rows, _, S) in zip(range(0, len(g), _SLAB), slabs):
+        A[rows] += S.dot(g[s:s + S.shape[1]])
+    return A
 
-    For each block, ``rows[i]`` holds G[i, :i] as Python complex numbers and
+
+def _block_grams(slabs) -> list:
+    """Gram rows of G = S^H W S for the slabs S of a kernel.
+
+    For each slab, ``rows[i]`` holds G[i, :i] as Python complex numbers and
     ``diag[i]`` the real G[i, i], ready for the scalar loop of the sweep.
-    Matrix-vector products only: a matrix-matrix product would make the
-    BLAS library fault in its packing buffers.
     """
     grams = []
-    for s in range(0, K.shape[1], _BLOCK):
-        Kb = K[:, s:s + _BLOCK]
-        WKb = np.conj(w[:, None] * Kb)
-        rows, diag = [], []
-        for i in range(Kb.shape[1]):
-            row = (WKb[:, i] @ Kb[:, :i + 1]).tolist()
-            diag.append(row.pop().real)
-            rows.append(row)
-        grams.append((rows, diag))
+    for _, w, S in slabs:
+        G = (np.conj(w[:, None] * S).T @ S).tolist()
+        grams.append(([row[:i] for i, row in enumerate(G)], [row[i].real for i, row in enumerate(G)]))
     return grams
 
 
-def _sweep(K, grams, g, A, w, real_signs: bool) -> None:
+def _sweep(slabs, grams, g, A, real_signs: bool) -> None:
     """One Gauss-Seidel pass over the coordinates of g, in natural order.
 
-    Updates g and A = K g in place.  Per block Y, one product gives
-    c = K_Y^H W A for the whole block; coordinate i then sees the changes
+    Updates g and A = K g in place.  Per slab Y, one product gives
+    c = S^H W A[R_Y] for the whole block; coordinate i then sees the changes
     d_j of the earlier coordinates through the block's Gram matrix,
-    c_i + sum_{j<i} G[i, j] d_j, and one product pushes d into A.
+    c_i + sum_{j<i} G[i, j] d_j, and one product pushes d into A[R_Y].
     """
-    for s, (rows, diag) in zip(range(0, K.shape[1], _BLOCK), grams):
-        Kb = K[:, s:s + _BLOCK]
-        c = (np.conj(w * A) @ Kb).conj().tolist()
-        gb = g[s:s + _BLOCK].tolist()
-        d = [0j] * len(gb)
-        for i, gi in enumerate(gb):
-            ci = c[i] + sum(map(operator.mul, rows[i], d)) - diag[i] * gi
+    gl = g.tolist()
+    for s, (rows, w, S), (grow, diag) in zip(range(0, len(gl), _SLAB), slabs, grams):
+        AR = A[rows]
+        c = np.dot(np.conj(w * AR), S).conj().tolist()
+        d = [0j] * len(c)
+        for i, gi in enumerate(gl[s:s + len(c)]):
+            ci = c[i] + sum(map(operator.mul, grow[i], d)) - diag[i] * gi
             if real_signs:
                 new = 1.0 if ci.real > 0 else (-1.0 if ci.real < 0 else gi)
             else:
                 mag = abs(ci)
                 new = ci / mag if mag > 1e-300 else gi
             if new != gi:
-                gb[i] = new
+                gl[s + i] = new
                 d[i] = new - gi
-        g[s:s + _BLOCK] = gb
-        A += Kb @ np.array(d)
+        if any(d):
+            AR += S.dot(np.asarray(d))
+            A[rows] = AR
+    g[:] = gl
 
 
 def uniform_mrec_bracket(
@@ -274,7 +292,7 @@ def uniform_mrec_bracket(
             raise ValueError(f"brute force would enumerate {cases} cases (cap {_BRUTE_CASE_CAP})")
         check_budget(float(cases) * N * M, budget, "uniform_mrec_bracket brute force")
     else:
-        est = (restarts + 1) * max_cycles * k * (float(N) * M + M * M)
+        est = (restarts + 1) * max_cycles * k * (float(N) * M + M * min(M, _SLAB * N))
         check_budget(est, budget, "uniform_mrec_bracket")
     key = content_key(system, [f], "uniform_mrec_bracket", k, N, restarts, seed, tol, max_cycles,
                       real_signs, brute_force)
@@ -318,12 +336,12 @@ def _ascent_bracket(system, f, k, N, restarts, seed, tol, max_cycles, real_signs
     w = system.weights
     cap = math.sqrt(fsum((w * np.abs(f.values) ** 2).tolist()))
     rng = np.random.default_rng(int(seed))
-    K = np.empty((M, M), dtype=np.complex128, order="F")  # column blocks are views
-    rows = _kernel_rows(system, f, k, N)
     best_obj = -1.0
     best_g = None
     best_trace: list = []
     best_converged = False
+    # k = 1 fills once, so its layout streams slab by slab; k >= 2 refills every cycle
+    layouts = [list(_slab_layout(system, k, l, N)) for l in range(k)] if k > 1 else [_slab_layout(system, 1, 0, N)]
     for attempt in range(restarts + 1):
         if attempt == 0:
             g_list = [np.ones(M, dtype=np.complex128) for _ in range(k)]
@@ -332,18 +350,18 @@ def _ascent_bracket(system, f, k, N, restarts, seed, tol, max_cycles, real_signs
         else:
             g_list = [np.exp(2j * np.pi * rng.random(M)) for _ in range(k)]
         if attempt == 0 or k > 1:  # for k = 1 the kernel never changes
-            _fill_kernel(K, rows, g_list, 0, N)
-            grams = _block_grams(K, w)
-        A = K @ g_list[0]
+            slabs = _fill_slabs(layouts[0], f, g_list, 0, N)
+            grams = _block_grams(slabs)
+        A = _kernel_apply(slabs, g_list[0])
         obj = fsum((w * np.abs(A) ** 2).tolist())
         trace = [obj]
         converged = False
         for cycle in range(max_cycles):
             for l in range(k):
                 if k > 1 and (cycle or l):
-                    _fill_kernel(K, rows, g_list, l, N)
-                    grams = _block_grams(K, w)
-                _sweep(K, grams, g_list[l], A, w, real_signs)
+                    slabs = _fill_slabs(layouts[l], f, g_list, l, N)
+                    grams = _block_grams(slabs)
+                _sweep(slabs, grams, g_list[l], A, real_signs)
             obj_new = fsum((w * np.abs(A) ** 2).tolist())
             if obj_new < obj - 1e-12 * max(1.0, obj):
                 raise AssertionError("coordinate ascent decreased the objective")

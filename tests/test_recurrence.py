@@ -1,6 +1,9 @@
 """Multiple recurrence norms, uniform maximization, and return times."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -296,25 +299,34 @@ def _whole_array_kernel(system, f, gs, k, l, N):
     (random_permutation(37, 3), 41),
     (identity_system(7), 9),
     (product_system(cyclic_shift(3), random_permutation(13, 2)), 47),
-    (random_permutation(521, 5), 600),  # blocks above numpy's 256 KiB temporary-reuse threshold
-], ids=["cyclic", "random", "identity", "product", "large"])
-@pytest.mark.parametrize("block", ["uneven", "one point", "default"])
+    (random_permutation(521, 5), 1100),  # slabs above numpy's 256 KiB temporary-reuse threshold
+    (cyclic_shift(101), 12),  # slabs of N + 15 rows
+], ids=["cyclic", "random", "identity", "product", "large", "short"])
+@pytest.mark.parametrize("width", [5, 1, recurrence._SLAB], ids=["uneven", "one point", "default"])
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_blocked_fill_matches_whole_array_fill(monkeypatch, system, N, block, k):
-    # N exceeds a cycle length of every system, so entries repeat
+def test_blocked_fill_matches_whole_array_fill(monkeypatch, system, N, width, k):
+    # N exceeds a cycle length of every system but the last, so entries repeat
     M = system.size
-    if block == "uneven":
-        monkeypatch.setattr(recurrence, "_FILL_BLOCK", 5 * max(M, N))  # e.g. 37 points in blocks of 5
-    elif block == "one point":
-        monkeypatch.setattr(recurrence, "_FILL_BLOCK", 1)
+    monkeypatch.setattr(recurrence, "_SLAB", width)  # e.g. 37 columns (points) in slabs of 5
     f = random_mean_zero(system, 4)
     rng = np.random.default_rng(k)
     gs = [np.exp(2j * np.pi * rng.random(M)) for _ in range(k)]
-    rows = recurrence._kernel_rows(system, f, k, N)
     for l in range(k):
-        K = np.full((M, M), np.nan, dtype=np.complex128, order="F")
-        recurrence._fill_kernel(K, rows, gs, l, N)
-        assert np.array_equal(K, _whole_array_kernel(system, f, gs, k, l, N))
+        reach = _step_tables(system, [l + 1], N)[0]  # reach[n - 1, x] = T^{(l+1) n} x
+        K = np.zeros((M, M), dtype=np.complex128)
+        inside = np.zeros((M, M), dtype=bool)
+        slabs = recurrence._fill_slabs(recurrence._slab_layout(system, k, l, N), f, gs, l, N)
+        for s, (rows, w, S) in zip(range(0, M, width), slabs):
+            cols = np.arange(s, min(s + width, M))
+            # the rows are exactly the points whose orbits reach the slab's columns
+            assert np.array_equal(rows, np.flatnonzero(np.isin(reach, cols).any(axis=0)))
+            assert np.array_equal(w, system.weights[rows])  # as complex numbers
+            K[np.ix_(rows, cols)] = S
+            inside[np.ix_(rows, cols)] = True
+        assert s + width >= M
+        oracle = _whole_array_kernel(system, f, gs, k, l, N)
+        assert np.array_equal(K, oracle)
+        assert not oracle[~inside].any()
 
 
 def _peak_bytes(fn, *args, **kwargs):
@@ -327,8 +339,9 @@ def _peak_bytes(fn, *args, **kwargs):
 
 
 def test_first_order_ascent_keeps_no_orbit_table():
-    # the kernel (4.3 MB) is the only (M, M) or (N, M) array: each block of
-    # points gathers its own orbits (136.5 MiB with whole tables)
+    # the slabs (full height at N >= M, 4.3 MB in all) are the only (M, M) or
+    # (N, M) array: each slab gathers the orbits of its own 16 columns
+    # (136.5 MiB with whole tables)
     system = cyclic_shift(521)
     f = random_mean_zero(system, 2)
     peak = _peak_bytes(uniform_mrec_bracket, system, f, 1, 4096, restarts=0, max_cycles=1)
@@ -336,13 +349,52 @@ def test_first_order_ascent_keeps_no_orbit_table():
 
 
 def test_higher_order_ascent_fills_per_block():
-    # k = 2 keeps f o T^{3n} and two index tables (17 MB at N = 1024); the
-    # product, the bin index and the bincount output are per block (49.3 MiB
+    # k = 2 keeps each companion's slab layout for the call, its bins and two
+    # orbit tables as int32 (12.8 MB at N = 1024), and one kernel's slabs
+    # (4.3 MB); the products and the bincount output are per slab (49.3 MiB
     # with whole-table scratch)
     system = cyclic_shift(521)
     f = random_mean_zero(system, 2)
     peak = _peak_bytes(uniform_mrec_bracket, system, f, 2, 1024, restarts=0, max_cycles=1)
     assert peak < 30 * 2**20
+
+
+def test_ascent_keeps_no_dense_kernel():
+    # 16 N = 128 rows per slab hold 3.9 MiB of kernel; a dense one is 64 MiB
+    system = random_permutation(2048, 1)
+    f = random_mean_zero(system, 2)
+    peak = _peak_bytes(uniform_mrec_bracket, system, f, 1, 8, restarts=0, max_cycles=1)
+    assert peak < 16 * 2**20
+
+
+def test_budget_estimate_charges_the_slab_kernel():
+    # 3 starts x 60 cycles x (N M + M min(M, 16 N)); refused before any allocation
+    system = random_permutation(20000, 0)
+    f = random_mean_zero(system, 1)
+    with pytest.raises(BudgetExceeded) as info:
+        uniform_mrec_bracket(system, f, 1, 16, budget=1.0)
+    assert info.value.estimate == 180 * (16.0 * 20000 + 20000 * 256)
+
+
+_THREAD_PROBE = """
+from wwlab.recurrence import uniform_mrec_bracket
+from wwlab.systems import cyclic_shift, random_mean_zero
+s, t = cyclic_shift(521), cyclic_shift(131)
+print(uniform_mrec_bracket(s, random_mean_zero(s, 2), 1, 256, seed=2, max_cycles=15).lower.hex())
+print(uniform_mrec_bracket(t, random_mean_zero(t, 4), 2, 64, seed=4).lower.hex())
+"""
+
+
+def test_ascent_is_bit_identical_at_one_and_two_blas_threads():
+    # every slab product is at most 521 x 16, which OpenBLAS runs on one thread
+    # (the dense 521 x 521 kernel's products were threaded and moved the last bits)
+    out = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        out.append(subprocess.run([sys.executable, "-c", _THREAD_PROBE], capture_output=True, text=True,
+                                  check=True, env=env).stdout.split())
+    assert len(out[0]) == 2 and out[0] == out[1]
 
 
 def test_tied_restarts_report_the_earliest():
