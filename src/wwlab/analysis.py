@@ -2,9 +2,13 @@
 
 Everything downstream of the average/optimizer primitives lives here.  The
 named-check registry evaluates each inequality of the catalogue on a concrete
-scenario and reports per-length ratios c_N = lhs / rhs together with certified
-and refutation slacks, so a violated inequality shows up as a negative
-refutation slack rather than a silently absorbed constant.
+scenario.  A row reads c_N = lhs / rhs, the slack rhs - lhs, and the outer
+slack with each side at its other bracket endpoint, so a negative outer slack
+is a refutation.  Fitted-constant checks pass on finite c_N, so they cannot
+fail (read ``c_max`` and ``stable()``); constant-free checks pass on slack, or
+outer slack, >= -tol.  offdiag_permute (exact equality) and weak_strong
+(ordering rows on the outer slack, literal-constant rows at ratio <= 1) keep
+their own rules.
 
 Endpoint convention: the left side of an inequality is consumed at the upper
 endpoint of its bracket and the right side at the lower endpoint, so a "pass"
@@ -17,9 +21,11 @@ fitted constant, never hide a failure).
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,13 +49,11 @@ from .recurrence import (
     polyphase_mrec_sup,
     uniform_mrec_bracket,
 )
-from .supbrackets import Bracket, sup_modulated_average
+from .supbrackets import sup_modulated_average
 from .systems import (
     FiniteSystem,
     Observable,
-    Partition,
     conditional_expectation,
-    constant_observable,
     cyclic_shift,
     integrate,
     product_system,
@@ -72,6 +76,7 @@ __all__ = [
     "decay_fit",
     "precsim_fit",
     "available_checks",
+    "check_parameters",
     "run_named_check",
     "hilbert_partial_sums",
     "hilbert_criterion",
@@ -345,8 +350,53 @@ _POLICY_M_RHS = (
 )
 
 
-def _default_system(size: int = 13) -> FiniteSystem:
-    return cyclic_shift(size)
+class _Check(NamedTuple):
+    """A check's row generator, which declares its scenario in its signature and
+    yields CheckRows (and optionally a notes string), its policy and its verdict rule."""
+
+    run: Callable
+    policy: str
+    tol: float | None = None  # None: a fitted-constant check
+    outer: bool = False  # a constant-free verdict reads the outer slack
+    verdict: Callable | None = None  # (rows, tol) -> bool, in place of the shared rule
+
+
+def _row(N, lhs, rhs, label="", lhs_far=None, rhs_far=None) -> CheckRow:
+    """A row: slack = rhs - lhs; the outer slack reads ``lhs_far`` and ``rhs_far`` where given."""
+    outer = (rhs if rhs_far is None else rhs_far) - (lhs if lhs_far is None else lhs_far)
+    return CheckRow(N, lhs, rhs, _ratio(lhs, rhs), rhs - lhs, outer, label)
+
+
+def _scene(system, seed: int, *observables, size: int = 13):
+    """The scenario defaults: ``cyclic_shift(size)`` for a missing system, and
+    ``random_mean_zero(system, seed + i)`` for each observable i left as None."""
+    system = system if system is not None else cyclic_shift(size)
+    defaults = (f if f is not None else random_mean_zero(system, seed + i) for i, f in enumerate(observables))
+    return system, *defaults
+
+
+def _orbit_scene(system, functions, exponents, seed: int):
+    """Defaults for the orbit checks: one seeded observable, exponents 1..J."""
+    system = _scene(system, seed)[0]
+    functions = functions if functions is not None else [random_mean_zero(system, seed)]
+    exponents = exponents if exponents is not None else ExponentVector(tuple(range(1, len(functions) + 1)))
+    return system, functions, exponents
+
+
+def _cube_scene(system, assignment, seed: int):
+    """Default cube assignment: seeded observables at the two vertices of {0,1}."""
+    if assignment is not None:
+        return _scene(system, seed)[0], assignment
+    system, f0, f1 = _scene(system, seed, None, None)
+    return system, CubeAssignment({(0,): f0, (1,): f1})
+
+
+def _seeded(sequence, seed: int, length: int, nonnegative: bool = False):
+    """``sequence``, or a seeded standard normal draw: complex, or |real| if nonnegative."""
+    if sequence is not None:
+        return sequence
+    draw = np.random.default_rng(seed).standard_normal
+    return np.abs(draw(length)) if nonnegative else draw(length) + 1j * draw(length)
 
 
 def _check_vdc(sequence=None, H_values=None, seed: int = 0, length: int = 32):
@@ -356,28 +406,20 @@ def _check_vdc(sequence=None, H_values=None, seed: int = 0, length: int = 32):
     is controlled by a weighted sum of autocorrelations; both sides are exact
     sums, so the slack is a hard number.
     """
-    if sequence is None:
-        rng = np.random.default_rng(seed)
-        sequence = rng.standard_normal(length) + 1j * rng.standard_normal(length)
-    v = np.asarray(sequence, dtype=np.complex128)
+    v = np.asarray(_seeded(sequence, seed, length), dtype=np.complex128)
     N = len(v)
     if N < 1:
         raise ValueError("sequence must be nonempty")
-    if H_values is None:
-        H_values = range(1, N + 1)
     corr = _autocorr(v)
     lhs = abs(fsum_complex(v.tolist()) / N) ** 2
     energy = fsum((np.abs(v) ** 2).tolist())
-    rows = []
-    for H in H_values:
+    for H in H_values if H_values is not None else range(1, N + 1):
         if not 1 <= H <= N:
             raise ValueError(f"H={H} outside [1, {N}]")
         # the lag-h sum is empty once h reaches N, so it contributes nothing
         weighted = fsum(((H + 1 - h) * corr[h].real for h in range(1, min(H, N - 1) + 1)))
         rhs = (N + H) / (N**2 * (H + 1)) * energy + 2 * (N + H) / (N**2 * (H + 1) ** 2) * weighted
-        rows.append(CheckRow(H, lhs, rhs, _ratio(lhs, rhs), rhs - lhs, rhs - lhs, f"H={H}"))
-    verdict = all(r.slack >= -1e-9 for r in rows)
-    return _finish("vdc", rows, verdict, _POLICY_EXACT, constant_free=True, tol=1e-9)
+        yield _row(H, lhs, rhs, f"H={H}")
 
 
 def _check_vdc_sup(sequence=None, H_values=None, seed: int = 0, length: int = 32, oversample: int = 16):
@@ -388,37 +430,24 @@ def _check_vdc_sup(sequence=None, H_values=None, seed: int = 0, length: int = 32
     autocorrelations by their moduli, which buys enough room that bracket
     width never threatens the margin.
     """
-    if sequence is None:
-        rng = np.random.default_rng(seed)
-        sequence = rng.standard_normal(length) + 1j * rng.standard_normal(length)
-    u = np.asarray(sequence, dtype=np.complex128)
+    u = np.asarray(_seeded(sequence, seed, length), dtype=np.complex128)
     N = len(u)
     if N < 2:
         raise ValueError("sequence must have length >= 2")
-    if H_values is None:
-        H_values = range(1, N)
     bracket = sup_modulated_average(u, oversample)
-    lhs = bracket.upper**2
     corr = _autocorr(u)
     energy = fsum((np.abs(u) ** 2).tolist())
-    rows = []
-    for H in H_values:
+    for H in H_values if H_values is not None else range(1, N):
         if not 1 <= H <= N - 1:
             raise ValueError(f"H={H} outside [1, {N - 1}]")
         mods = fsum((abs(corr[h]) / N for h in range(1, H + 1)))
         rhs = 2.0 / (N * (H + 1)) * energy + 4.0 / (H + 1) * mods
-        slack = rhs - lhs
-        outer = rhs - bracket.lower**2
-        rows.append(CheckRow(H, lhs, rhs, _ratio(lhs, rhs), slack, outer, f"H={H}"))
-    verdict = all(r.slack >= -1e-9 for r in rows)
-    return _finish("vdc_sup", rows, verdict, _POLICY_BRACKETS, constant_free=True, tol=1e-9)
+        yield _row(H, bracket.upper**2, rhs, f"H={H}", lhs_far=bracket.lower**2)
 
 
 def _check_vdc_systems(system=None, f=None, N_values=(8, 16, 32), seed: int = 0):
     """Mean-square ergodic average against one-sided spectral correlations."""
-    system = system if system is not None else _default_system()
-    f = f if f is not None else random_mean_zero(system, seed)
-    rows = []
+    system, f = _scene(system, seed, f)
     for N in N_values:
         acc = np.zeros(system.size, dtype=np.complex128)
         for n in range(1, N + 1):
@@ -428,51 +457,36 @@ def _check_vdc_systems(system=None, f=None, N_values=(8, 16, 32), seed: int = 0)
         rhs = (2.0 / N) * fsum(
             ((N - n) / N * spectral_coefficient(system, f, n).real for n in range(N))
         )
-        rows.append(CheckRow(N, lhs, rhs, _ratio(lhs, rhs), rhs - lhs, rhs - lhs))
-    verdict = all(r.slack >= -1e-10 for r in rows)
-    return _finish("vdc_systems", rows, verdict, _POLICY_EXACT, constant_free=True, tol=1e-10)
+        yield _row(N, lhs, rhs)
 
 
 def _check_holder_averages(sequence=None, p_values=(0.5, 1.0, 2.0, 4.0), seed: int = 0, length: int = 64):
     """Power means of a nonnegative sequence are nondecreasing in the exponent."""
-    if sequence is None:
-        rng = np.random.default_rng(seed)
-        sequence = np.abs(rng.standard_normal(length))
-    a = np.asarray(sequence, dtype=np.float64)
+    a = np.asarray(_seeded(sequence, seed, length, nonnegative=True), dtype=np.float64)
     if np.any(a < 0):
         raise ValueError("power means need nonnegative input")
     N = len(a)
     means = [fsum((a**p).tolist()) / N for p in p_values]
     levels = [m ** (1.0 / p) for m, p in zip(means, p_values)]
-    rows = []
     for i in range(len(p_values) - 1):
-        lhs, rhs = levels[i], levels[i + 1]
-        rows.append(
-            CheckRow(i + 1, lhs, rhs, _ratio(lhs, rhs), rhs - lhs, rhs - lhs,
-                     f"p={p_values[i]:g}<={p_values[i + 1]:g}")
-        )
-    verdict = all(r.slack >= -1e-9 for r in rows)
-    return _finish("holder_averages", rows, verdict, _POLICY_EXACT, constant_free=True, tol=1e-9)
+        yield _row(i + 1, levels[i], levels[i + 1], f"p={p_values[i]:g}<={p_values[i + 1]:g}")
 
 
-def _check_maximal(system=None, f=None, p: float = 2.0, N_cap=None, seed: int = 0):
+def _check_maximal(system=None, f=None, p: float = 2.0, N_cap=None, seed: int = 0, budget=None):
     """Maximal ergodic average bound with constant p / (p - 1).
 
     The running maximum is taken over all lengths up to ``N_cap`` (default
     four revolutions of the system), which only makes the left side smaller
     than the full supremum, so a pass is genuine.
     """
-    system = system if system is not None else _default_system()
-    if f is None:
-        rng = np.random.default_rng(seed)
-        f = Observable(np.abs(rng.standard_normal(system.size)))
-    vals = np.asarray(f.values)
+    system = _scene(system, seed)[0]
+    vals = np.asarray(f.values if f is not None else _seeded(None, seed, system.size, nonnegative=True))
     if np.any(np.abs(vals.imag) > 1e-12) or np.any(vals.real < -1e-12):
         raise ValueError("maximal bound check expects nonnegative real input")
     if p <= 1:
         raise ValueError("exponent must exceed 1")
     N_cap = N_cap if N_cap is not None else 4 * system.size
-    check_budget(float(N_cap) * system.size, what="maximal")
+    check_budget(float(N_cap) * system.size, budget, what="maximal")
     # lengths in chunks: a running sum and a running maximum per point
     total = np.zeros(system.size)
     m = np.full(system.size, -np.inf)
@@ -486,8 +500,7 @@ def _check_maximal(system=None, f=None, p: float = 2.0, N_cap=None, seed: int = 
         np.maximum(m, (sums / n).max(axis=0), out=m)
     lhs = fsum((system.weights * m**p).tolist()) ** (1.0 / p)
     rhs = p / (p - 1.0) * fsum((system.weights * vals.real**p).tolist()) ** (1.0 / p)
-    row = CheckRow(N_cap, lhs, rhs, _ratio(lhs, rhs), rhs - lhs, rhs - lhs, f"p={p:g}")
-    return _finish("maximal", [row], row.slack >= -1e-9, _POLICY_EXACT, constant_free=True, tol=1e-9)
+    yield _row(N_cap, lhs, rhs, f"p={p:g}")
 
 
 def _check_bourgain(
@@ -495,15 +508,12 @@ def _check_bourgain(
     restarts: int = 2, seed: int = 0, threads: int = 1, budget=None,
 ):
     """Uniform recurrence norm controlled by the order-k average."""
-    system = system if system is not None else _default_system()
-    f = f if f is not None else random_mean_zero(system, seed)
-    rows = []
+    system, f = _scene(system, seed, f)
     for N in N_values:
         m = uniform_mrec_bracket(system, f, k, N, restarts=restarts, seed=seed, budget=budget)
         w = ww_average(system, f, k, N, oversample, threads=threads, budget=budget)
         rhs = N ** (-1.0 / 2**k) + w.lower ** (1.0 / 2 ** (k - 1))
-        rows.append(CheckRow(N, m.lower, rhs, _ratio(m.lower, rhs), rhs - m.lower, rhs - m.lower))
-    return _finish("bourgain", rows, all(math.isfinite(r.c_N) for r in rows), _POLICY_M_LHS)
+        yield _row(N, m.lower, rhs)
 
 
 def _check_reverse_bourgain(
@@ -517,9 +527,9 @@ def _check_reverse_bourgain(
     With ``brute`` the recurrence value is the exact sign-class maximum, which
     removes the optimizer caveat on small systems.
     """
-    system = system if system is not None else _default_system()
-    f = f if f is not None else random_mean_zero(system, seed)
-    rows = []
+    system, f = _scene(system, seed, f)
+    if brute:
+        yield "recurrence value exact on the sign class"
     for N in N_values:
         W = ww_average(system, f, k, N, oversample, threads=threads, budget=budget)
         if k == 1:
@@ -528,11 +538,7 @@ def _check_reverse_bourgain(
             R, decay = _iroot(N, 4), N ** (-1.0 / 24.0)
         m = uniform_mrec_bracket(system, f, k, R, restarts=restarts, seed=seed,
                                  brute_force=brute, budget=budget)
-        rhs = decay + m.lower ** (1.0 / 6.0)
-        rows.append(CheckRow(N, W.upper, rhs, _ratio(W.upper, rhs), rhs - W.upper, rhs - W.lower))
-    notes = "recurrence value exact on the sign class" if brute else ""
-    return _finish("reverse_bourgain", rows, all(math.isfinite(r.c_N) for r in rows),
-                   _POLICY_M_RHS, notes=notes)
+        yield _row(N, W.upper, decay + m.lower ** (1.0 / 6.0), lhs_far=W.lower)
 
 
 def _check_sublinearity(
@@ -540,11 +546,8 @@ def _check_sublinearity(
     seed: int = 0, threads: int = 1, budget=None,
 ):
     """Average of a sum against the averages of the parts at length N^(1/4)."""
-    system = system if system is not None else _default_system()
-    f1 = f1 if f1 is not None else random_mean_zero(system, seed)
-    f2 = f2 if f2 is not None else random_mean_zero(system, seed + 1)
+    system, f1, f2 = _scene(system, seed, f1, f2)
     total = Observable(np.asarray(f1.values) + np.asarray(f2.values))
-    rows = []
     for N in N_values:
         lhs = ww_average(system, total, k, N, oversample, threads=threads, budget=budget).upper
         R = _iroot(N, 4)
@@ -553,18 +556,7 @@ def _check_sublinearity(
             ww_average(system, g, k, R, oversample, threads=threads, budget=budget).lower ** expo
             for g in (f1, f2)
         ]
-        rhs = N ** (-1.0 / (3 * 2 ** (k + 3))) + parts[0] + parts[1]
-        rows.append(CheckRow(N, lhs, rhs, _ratio(lhs, rhs), rhs - lhs, rhs - lhs))
-    return _finish("sublinearity", rows, all(math.isfinite(r.c_N) for r in rows), _POLICY_BRACKETS)
-
-
-def _default_assignment(system, order, seed):
-    mapping = {}
-    rng_seed = seed
-    for bits in itertools.product((0, 1), repeat=order):
-        mapping[bits] = random_mean_zero(system, rng_seed)
-        rng_seed += 1
-    return CubeAssignment(mapping)
+        yield _row(N, lhs, N ** (-1.0 / (3 * 2 ** (k + 3))) + parts[0] + parts[1])
 
 
 def _check_offdiag_control(
@@ -572,11 +564,9 @@ def _check_offdiag_control(
     seed: int = 0, threads: int = 1, budget=None,
 ):
     """Off-diagonal cube average against the best single-vertex average."""
-    system = system if system is not None else _default_system()
-    assignment = assignment if assignment is not None else _default_assignment(system, 1, seed)
+    system, assignment = _cube_scene(system, assignment, seed)
     k = assignment.order + 1
     expo = 1.0 / (3 * 2**k)
-    rows = []
     for N in N_values:
         lhs = off_diagonal_average(system, assignment, N, oversample, threads=threads, budget=budget).upper
         R = _iroot(N, 4)
@@ -585,9 +575,7 @@ def _check_offdiag_control(
                        threads=threads, budget=budget).lower
             for bits in itertools.product((0, 1), repeat=assignment.order)
         )
-        rhs = N ** (-1.0 / (3 * 2 ** (k + 3))) + best**expo
-        rows.append(CheckRow(N, lhs, rhs, _ratio(lhs, rhs), rhs - lhs, rhs - lhs))
-    return _finish("offdiag_control", rows, all(math.isfinite(r.c_N) for r in rows), _POLICY_BRACKETS)
+        yield _row(N, lhs, N ** (-1.0 / (3 * 2 ** (k + 3))) + best**expo)
 
 
 def _check_offdiag_permute(
@@ -600,22 +588,15 @@ def _check_offdiag_permute(
     the same multiset of per-shift values and every reduction is an
     exactly-rounded sum, so even the float results coincide.
     """
-    system = system if system is not None else _default_system()
-    assignment = assignment if assignment is not None else _default_assignment(system, 1, seed)
+    system, assignment = _cube_scene(system, assignment, seed)
     zeta = zeta if zeta is not None else (0,) * assignment.order
     base = off_diagonal_average(system, assignment, N, oversample, threads=threads, budget=budget)
     moved = off_diagonal_average(
         system, zeta_transformed_assignment(system, assignment, zeta, N), N,
         oversample, threads=threads, budget=budget,
     )
-    rows = [
-        CheckRow(N, base.lower, moved.lower, _ratio(base.lower, moved.lower),
-                 moved.lower - base.lower, moved.lower - base.lower, "lower"),
-        CheckRow(N, base.upper, moved.upper, _ratio(base.upper, moved.upper),
-                 moved.upper - base.upper, moved.upper - base.upper, "upper"),
-    ]
-    verdict = all(r.slack == 0.0 for r in rows)
-    return _finish("offdiag_permute", rows, verdict, _POLICY_EXACT, constant_free=True, tol=0.0)
+    yield _row(N, base.lower, moved.lower, "lower")
+    yield _row(N, base.upper, moved.upper, "upper")
 
 
 def _check_cond_exp(
@@ -623,20 +604,22 @@ def _check_cond_exp(
     oversample: int = 16, seed: int = 0, threads: int = 1, budget=None,
 ):
     """Averaging a projection onto an invariant partition loses nothing."""
-    system = system if system is not None else cyclic_shift(12)
-    f = f if f is not None else random_mean_zero(system, seed)
+    system, f = _scene(system, seed, f, size=12)
     partition = partition if partition is not None else two_cell_parity_partition(system)
     if not partition.is_shift_invariant(system):
         raise ValueError("partition must be invariant under the map")
     proj = conditional_expectation(system, f, partition)
-    rows = []
     for N in N_values:
         lhs = ww_average(system, proj, k, N, oversample, threads=threads, budget=budget).upper
         R = _iroot(N, 4)
         base = ww_average(system, f, k, R, oversample, threads=threads, budget=budget).lower
-        rhs = N ** (-1.0 / (3 * 2 ** (k + 1))) + base ** (1.0 / (3 * 2**k))
-        rows.append(CheckRow(N, lhs, rhs, _ratio(lhs, rhs), rhs - lhs, rhs - lhs))
-    return _finish("cond_exp", rows, all(math.isfinite(r.c_N) for r in rows), _POLICY_BRACKETS)
+        yield _row(N, lhs, N ** (-1.0 / (3 * 2 ** (k + 1))) + base ** (1.0 / (3 * 2**k)))
+
+
+def _weak_strong_verdict(rows, tol):
+    """Ordering rows pass on the outer slack; literal-constant rows at ratio <= 1, unless wide."""
+    return all(r.slack_outer >= -tol if r.label == "order" else r.label == "explicit-wide" or r.c_N <= 1.0
+               for r in rows)
 
 
 def _check_weak_strong(
@@ -650,28 +633,16 @@ def _check_weak_strong(
     2^(5/6)) and must come in at ratio <= 1 whenever both brackets are
     narrower than one percent; nothing is fitted.
     """
-    system = system if system is not None else _default_system()
-    f = f if f is not None else random_mean_zero(system, seed)
-    rows = []
-    ok = True
+    system, f = _scene(system, seed, f)
     for N in N_values:
         weak = weak_ww_average(system, f, k, N, oversample, threads=threads, budget=budget)
         strong = ww_average(system, f, k, N, oversample, threads=threads, budget=budget)
-        slack = strong.lower - weak.upper
-        outer = strong.upper - weak.lower
-        rows.append(CheckRow(N, weak.upper, strong.lower, _ratio(weak.upper, strong.lower),
-                             slack, outer, "order"))
-        ok = ok and outer >= -1e-12
+        yield _row(N, weak.upper, strong.lower, "order", lhs_far=weak.lower, rhs_far=strong.upper)
 
         lifted = weak_ww_average(system, f, k + 1, N, oversample, threads=threads, budget=budget)
         rhs = 2 ** (1.0 / 3.0) * N ** (-1.0 / 6.0) + 2 ** (5.0 / 6.0) * lifted.lower ** (1.0 / 8.0)
         narrow = strong.rel_width < 0.01 and lifted.rel_width < 0.01
-        c = _ratio(strong.upper, rhs)
-        rows.append(CheckRow(N, strong.upper, rhs, c, rhs - strong.upper, rhs - strong.lower,
-                             "explicit" if narrow else "explicit-wide"))
-        if narrow:
-            ok = ok and c <= 1.0
-    return _finish("weak_strong", rows, ok, _POLICY_BRACKETS, constant_free=True, tol=1e-12)
+        yield _row(N, strong.upper, rhs, "explicit" if narrow else "explicit-wide", lhs_far=strong.lower)
 
 
 def _check_spectral_weak(system=None, f=None, N_values=(16, 32), oversample: int = 16, seed: int = 0):
@@ -680,20 +651,15 @@ def _check_spectral_weak(system=None, f=None, N_values=(16, 32), oversample: int
     Needs sup|f| <= 1; the right side is the raw supremum of the L2 norm
     (no two-thirds power), evaluated by the certified kernel.
     """
-    system = system if system is not None else _default_system()
-    if f is None:
-        g = random_mean_zero(system, seed)
-        f = Observable(np.asarray(g.values) / max(1.0, g.sup_norm))
+    system, g = _scene(system, seed, f)
+    f = f if f is not None else Observable(np.asarray(g.values) / max(1.0, g.sup_norm))
     if f.sup_norm > 1.0 + 1e-9:
         raise ValueError("spectral comparison needs sup|f| <= 1")
-    rows = []
     for N in N_values:
         coeffs = [spectral_coefficient(system, f, n) for n in range(N)]
         lhs = fsum(abs(c) ** 2 for c in coeffs) / N
         lo, up = _weak_kernel(system, np.asarray(f.values, dtype=np.complex128), N, oversample)
-        rows.append(CheckRow(N, lhs, lo, _ratio(lhs, lo), lo - lhs, up - lhs))
-    verdict = all(r.slack_outer >= -1e-12 for r in rows)
-    return _finish("spectral_weak", rows, verdict, _POLICY_BRACKETS, constant_free=True, tol=1e-12)
+        yield _row(N, lhs, lo, rhs_far=up)
 
 
 def _check_weak_product(
@@ -701,23 +667,15 @@ def _check_weak_product(
     oversample: int = 16, seed: int = 0, threads: int = 1, budget=None,
 ):
     """Weak average of a tensor product never beats either factor."""
-    system_a = system_a if system_a is not None else cyclic_shift(5)
-    system_b = system_b if system_b is not None else cyclic_shift(7)
-    f = f if f is not None else random_mean_zero(system_a, seed)
-    g = g if g is not None else random_mean_zero(system_b, seed + 1)
+    system_a, f = _scene(system_a, seed, f, size=5)
+    system_b, g = _scene(system_b, seed + 1, g, size=7)
     prod = product_system(system_a, system_b)
     fg = tensor_observable(f, g)
-    rows = []
     for N in N_values:
         wp = weak_ww_average(prod, fg, k, N, oversample, threads=threads, budget=budget)
         wf = weak_ww_average(system_a, f, k, N, oversample, threads=threads, budget=budget)
         wg = weak_ww_average(system_b, g, k, N, oversample, threads=threads, budget=budget)
-        rhs_lo = min(wf.lower, wg.lower)
-        rhs_up = min(wf.upper, wg.upper)
-        rows.append(CheckRow(N, wp.upper, rhs_lo, _ratio(wp.upper, rhs_lo),
-                             rhs_lo - wp.upper, rhs_up - wp.lower))
-    verdict = all(r.slack_outer >= -1e-12 for r in rows)
-    return _finish("weak_product", rows, verdict, _POLICY_BRACKETS, constant_free=True, tol=1e-12)
+        yield _row(N, wp.upper, min(wf.lower, wg.lower), lhs_far=wp.lower, rhs_far=min(wf.upper, wg.upper))
 
 
 def _check_strong_product(
@@ -725,22 +683,17 @@ def _check_strong_product(
     oversample: int = 16, seed: int = 0, threads: int = 1, budget=None,
 ):
     """Strong average of a tensor product against the better factor, one order up."""
-    system_a = system_a if system_a is not None else cyclic_shift(5)
-    system_b = system_b if system_b is not None else cyclic_shift(7)
-    f = f if f is not None else random_mean_zero(system_a, seed)
-    g = g if g is not None else random_mean_zero(system_b, seed + 1)
+    system_a, f = _scene(system_a, seed, f, size=5)
+    system_b, g = _scene(system_b, seed + 1, g, size=7)
     prod = product_system(system_a, system_b)
     fg = tensor_observable(f, g)
-    rows = []
     for N in N_values:
         lhs = ww_average(prod, fg, k, N, oversample, threads=threads, budget=budget).upper
         best = min(
             ww_average(system_a, f, k + 1, N, oversample, threads=threads, budget=budget).lower,
             ww_average(system_b, g, k + 1, N, oversample, threads=threads, budget=budget).lower,
         )
-        rhs = N ** (-1.0 / 6.0) + best ** (1.0 / 8.0)
-        rows.append(CheckRow(N, lhs, rhs, _ratio(lhs, rhs), rhs - lhs, rhs - lhs))
-    return _finish("strong_product", rows, all(math.isfinite(r.c_N) for r in rows), _POLICY_BRACKETS)
+        yield _row(N, lhs, N ** (-1.0 / 6.0) + best ** (1.0 / 8.0))
 
 
 def _check_alt_upper(
@@ -748,17 +701,13 @@ def _check_alt_upper(
     oversample: int = 16, seed: int = 0, threads: int = 1, budget=None,
 ):
     """Alternative-schedule average against the classical one at the capped length."""
-    system = system if system is not None else _default_system()
-    f = f if f is not None else random_mean_zero(system, seed)
+    system, f = _scene(system, seed, f)
     schedule = schedule if schedule is not None else ScheduleR.linear_schedule(k - 1)
-    rows = []
     for N in N_values:
         lhs = ww_average_alt(system, f, k, N, schedule, oversample, threads=threads, budget=budget).upper
         R = schedule_cap(schedule, N)
         base = ww_average(system, f, k, R, oversample, threads=threads, budget=budget).lower
-        rhs = R ** (-1.0 / (3 * 2 ** (k + 1))) + base ** (1.0 / (3 * 2**k))
-        rows.append(CheckRow(N, lhs, rhs, _ratio(lhs, rhs), rhs - lhs, rhs - lhs))
-    return _finish("alt_upper", rows, all(math.isfinite(r.c_N) for r in rows), _POLICY_BRACKETS)
+        yield _row(N, lhs, R ** (-1.0 / (3 * 2 ** (k + 1))) + base ** (1.0 / (3 * 2**k)))
 
 
 def _check_alt_bb(
@@ -768,12 +717,10 @@ def _check_alt_bb(
     """Recurrence norm against the alternative-schedule average at length N^(1/beta)."""
     if k < 2:
         raise ValueError("this comparison needs order k >= 2")
-    system = system if system is not None else _default_system()
-    f = f if f is not None else random_mean_zero(system, seed)
+    system, f = _scene(system, seed, f)
     schedule = schedule if schedule is not None else ScheduleR.sqrt_schedule(k - 1)
     if beta < 1:
         raise ValueError("beta must be a positive integer")
-    rows = []
     expo = 1.0 / 2 ** (k - 1)
     for N in N_values:
         for m in range(k - 1):
@@ -787,9 +734,7 @@ def _check_alt_bb(
         )
         base = ww_average_alt(system, f, k, n_red, schedule, oversample,
                               threads=threads, budget=budget).lower
-        rhs = tail + N ** (-1.0 / (3 * beta * 2 ** (k - 2))) + base**expo
-        rows.append(CheckRow(N, m.lower, rhs, _ratio(m.lower, rhs), rhs - m.lower, rhs - m.lower))
-    return _finish("alt_bb", rows, all(math.isfinite(r.c_N) for r in rows), _POLICY_M_LHS)
+        yield _row(N, m.lower, tail + N ** (-1.0 / (3 * beta * 2 ** (k - 2))) + base**expo)
 
 
 def _check_shrinking(
@@ -804,17 +749,12 @@ def _check_shrinking(
     """
     if beta < 2:
         raise ValueError("beta must be an integer >= 2")
-    system = system if system is not None else _default_system()
-    f = f if f is not None else random_mean_zero(system, seed)
-    rows = []
+    system, f = _scene(system, seed, f)
     for N in N_values:
         lhs = ww_average(system, f, 1, N, oversample, threads=threads, budget=budget).upper
         n_red = _iroot(N, beta)
         base = ww_average(system, f, 1, n_red, oversample, threads=threads, budget=budget).lower
-        rhs = base + (beta / N ** (1.0 / beta)) ** (2.0 / 3.0)
-        rows.append(CheckRow(N, lhs, rhs, _ratio(lhs, rhs), rhs - lhs, rhs - lhs))
-    verdict = all(r.slack >= -1e-9 for r in rows)
-    return _finish("shrinking", rows, verdict, _POLICY_BRACKETS, constant_free=True, tol=1e-9)
+        yield _row(N, lhs, base + (beta / N ** (1.0 / beta)) ** (2.0 / 3.0))
 
 
 def _check_poly_ww(
@@ -822,14 +762,10 @@ def _check_poly_ww(
     N_values=(32, 64), oversample: int = 16, seed: int = 0, threads: int = 1, budget=None,
 ):
     """Polynomial-phase supremum against the average of matching total order."""
-    system = system if system is not None else _default_system()
-    if functions is None:
-        functions = [random_mean_zero(system, seed)]
-    exponents = exponents if exponents is not None else ExponentVector(tuple(range(1, len(functions) + 1)))
+    system, functions, exponents = _orbit_scene(system, functions, exponents, seed)
     J = len(functions)
     order = phase_degree + J - 1
     expo = 2 ** (phase_degree + J - 2)
-    rows = []
     for N in N_values:
         if N <= exponents.first_abs**2:
             raise ValueError("need N > a_1^2")
@@ -837,9 +773,7 @@ def _check_poly_ww(
                                  oversample, budget=budget).upper
         base = ww_average(system, functions[0], order, N, oversample,
                           threads=threads, budget=budget).lower
-        rhs = max(1, math.isqrt(N)) ** (-1.0 / expo) + base ** (1.0 / expo)
-        rows.append(CheckRow(N, lhs, rhs, _ratio(lhs, rhs), rhs - lhs, rhs - lhs))
-    return _finish("poly_ww", rows, all(math.isfinite(r.c_N) for r in rows), _POLICY_BRACKETS)
+        yield _row(N, lhs, max(1, math.isqrt(N)) ** (-1.0 / expo) + base ** (1.0 / expo))
 
 
 def _check_intermediate_F_ptwise(
@@ -852,20 +786,16 @@ def _check_intermediate_F_ptwise(
     is compared with the pointwise dominator at x; the row records the worst
     point.
     """
-    system = system if system is not None else _default_system()
-    system_y = system_y if system_y is not None else cyclic_shift(5)
-    if functions is None:
-        functions = [random_mean_zero(system, seed)]
-    exponents = exponents if exponents is not None else ExponentVector(tuple(range(1, len(functions) + 1)))
-    if g_list is None:
-        g_list = [random_mean_zero(system_y, seed + 7)]
+    yield "rhs is the dominator's lower endpoint"
+    system, functions, exponents = _orbit_scene(system, functions, exponents, seed)
+    system_y = _scene(system_y, seed, size=5)[0]
+    g_list = g_list if g_list is not None else [random_mean_zero(system_y, seed + 7)]
     b_steps = tuple(b_steps) if b_steps is not None else tuple(range(1, len(g_list) + 1))
     g_list = [
         g if g.sup_norm <= 1.0 + 1e-9 else Observable(np.asarray(g.values) / g.sup_norm)
         for g in g_list
     ]
     K = len(g_list)
-    rows = []
     for N in N_values:
         if N <= exponents.first_abs**2:
             raise ValueError("need N > a_1^2")
@@ -875,12 +805,8 @@ def _check_intermediate_F_ptwise(
         lhs_x = np.sqrt((np.abs(A) ** 2 * system_y.weights[None, :]).sum(axis=1))
         dom = intermediate_F(system, functions, exponents, K, N, oversample, budget=budget)
         flo = np.asarray(dom.lower.values).real
-        ratios = lhs_x / np.where(flo > 0, flo, np.inf)
-        i = int(np.argmax(ratios))
-        rows.append(CheckRow(N, float(lhs_x[i]), float(flo[i]), float(ratios[i]),
-                             float(flo[i] - lhs_x[i]), float(flo[i] - lhs_x[i]), f"x={i}"))
-    return _finish("intermediate_F_ptwise", rows, all(math.isfinite(r.c_N) for r in rows),
-                   _POLICY_BRACKETS, notes="rhs is the dominator's lower endpoint")
+        i = int(np.argmax(lhs_x / np.where(flo > 0, flo, np.inf)))
+        yield _row(N, float(lhs_x[i]), float(flo[i]), f"x={i}")
 
 
 def _check_intermediate_F_integral(
@@ -888,22 +814,15 @@ def _check_intermediate_F_integral(
     oversample: int = 16, seed: int = 0, threads: int = 1, budget=None,
 ):
     """Integrated dominator against the average of total order J + K - 1."""
-    system = system if system is not None else _default_system()
-    if functions is None:
-        functions = [random_mean_zero(system, seed)]
-    exponents = exponents if exponents is not None else ExponentVector(tuple(range(1, len(functions) + 1)))
+    system, functions, exponents = _orbit_scene(system, functions, exponents, seed)
     J = len(functions)
     expo = 2 ** (J + K - 2)
-    rows = []
     for N in N_values:
         dom = intermediate_F(system, functions, exponents, K, N, oversample, budget=budget)
         lhs = fsum((system.weights * np.asarray(dom.upper.values).real).tolist())
         base = ww_average(system, functions[0], J + K - 1, N, oversample,
                           threads=threads, budget=budget).lower
-        rhs = max(1, math.isqrt(N)) ** (-1.0 / expo) + base ** (1.0 / expo)
-        rows.append(CheckRow(N, lhs, rhs, _ratio(lhs, rhs), rhs - lhs, rhs - lhs))
-    return _finish("intermediate_F_integral", rows, all(math.isfinite(r.c_N) for r in rows),
-                   _POLICY_BRACKETS)
+        yield _row(N, lhs, max(1, math.isqrt(N)) ** (-1.0 / expo) + base ** (1.0 / expo))
 
 
 def _check_general_rbb(
@@ -916,8 +835,7 @@ def _check_general_rbb(
     window, and the right side mixes the two smallest windows with recurrence
     norms of the full-weight vertex observable at small lengths.
     """
-    system = system if system is not None else _default_system()
-    assignment = assignment if assignment is not None else _default_assignment(system, 1, seed)
+    system, assignment = _cube_scene(system, assignment, seed)
     k = assignment.order + 1
     H = tuple(int(h) for h in H) if H is not None else (3,) * k
     if len(H) != k:
@@ -938,63 +856,54 @@ def _check_general_rbb(
         + (fsum(m_values) / H2) ** (1.0 / 6.0)
         + ((H2 - H1 + 1) / H2) ** (1.0 / 6.0) * m_values[-1] ** (1.0 / 6.0)
     )
-    row = CheckRow(N, lhs, rhs, _ratio(lhs, rhs), rhs - lhs, rhs - lhs, f"H={H}")
-    return _finish("general_rbb", [row], math.isfinite(row.c_N), _POLICY_M_RHS)
+    yield _row(N, lhs, rhs, f"H={H}")
 
 
 def _check_hilbert_cauchy(sequence=None, sigma: float = 0.9, pairs=None, seed: int = 0, length: int = 48):
     """Difference of weighted partial sums against the summation-by-parts bound."""
     if not 0.0 < sigma <= 1.0:
         raise ValueError("sigma must lie in (0, 1]")
-    if sequence is None:
-        rng = np.random.default_rng(seed)
-        sequence = rng.standard_normal(length) + 1j * rng.standard_normal(length)
-    a = np.asarray(sequence, dtype=np.complex128)
+    a = np.asarray(_seeded(sequence, seed, length), dtype=np.complex128)
     L = len(a)
     if L < 2:
         raise ValueError("sequence must have length >= 2")
     n = np.arange(1, L + 1, dtype=np.float64)
     A = np.cumsum(a) / n
     S = np.cumsum(a / n**sigma)
-    if pairs is None:
-        pairs = [(N, L) for N in range(1, L)]
-    rows = []
-    for N, M in pairs:
+    for N, M in pairs if pairs is not None else [(N, L) for N in range(1, L)]:
         if not 1 <= N < M <= L:
             raise ValueError(f"need 1 <= N < M <= {L}")
         lhs = abs(S[M - 1] - S[N - 1])
         mid = fsum((abs(A[j - 1]) / j**sigma for j in range(N, M)))
         edge = abs(M ** (1.0 - sigma) * A[M - 1] - N ** (1.0 - sigma) * A[N - 1])
-        rhs = mid + edge
-        rows.append(CheckRow(M, lhs, rhs, _ratio(lhs, rhs), rhs - lhs, rhs - lhs, f"{N}->{M}"))
-    verdict = all(r.slack >= -1e-9 for r in rows)
-    return _finish("hilbert_cauchy", rows, verdict, _POLICY_EXACT, constant_free=True, tol=1e-9)
+        yield _row(M, lhs, mid + edge, f"{N}->{M}")
 
 
 _REGISTRY = {
-    "vdc": _check_vdc,
-    "vdc_sup": _check_vdc_sup,
-    "vdc_systems": _check_vdc_systems,
-    "holder_averages": _check_holder_averages,
-    "maximal": _check_maximal,
-    "bourgain": _check_bourgain,
-    "reverse_bourgain": _check_reverse_bourgain,
-    "sublinearity": _check_sublinearity,
-    "offdiag_control": _check_offdiag_control,
-    "offdiag_permute": _check_offdiag_permute,
-    "cond_exp": _check_cond_exp,
-    "weak_strong": _check_weak_strong,
-    "spectral_weak": _check_spectral_weak,
-    "weak_product": _check_weak_product,
-    "strong_product": _check_strong_product,
-    "alt_upper": _check_alt_upper,
-    "alt_bb": _check_alt_bb,
-    "shrinking": _check_shrinking,
-    "poly_ww": _check_poly_ww,
-    "intermediate_F_ptwise": _check_intermediate_F_ptwise,
-    "intermediate_F_integral": _check_intermediate_F_integral,
-    "general_rbb": _check_general_rbb,
-    "hilbert_cauchy": _check_hilbert_cauchy,
+    "vdc": _Check(_check_vdc, _POLICY_EXACT, tol=1e-9),
+    "vdc_sup": _Check(_check_vdc_sup, _POLICY_BRACKETS, tol=1e-9),
+    "vdc_systems": _Check(_check_vdc_systems, _POLICY_EXACT, tol=1e-10),
+    "holder_averages": _Check(_check_holder_averages, _POLICY_EXACT, tol=1e-9),
+    "maximal": _Check(_check_maximal, _POLICY_EXACT, tol=1e-9),
+    "bourgain": _Check(_check_bourgain, _POLICY_M_LHS),
+    "reverse_bourgain": _Check(_check_reverse_bourgain, _POLICY_M_RHS),
+    "sublinearity": _Check(_check_sublinearity, _POLICY_BRACKETS),
+    "offdiag_control": _Check(_check_offdiag_control, _POLICY_BRACKETS),
+    "offdiag_permute": _Check(_check_offdiag_permute, _POLICY_EXACT, tol=0.0,
+                              verdict=lambda rows, tol: all(r.slack == 0.0 for r in rows)),
+    "cond_exp": _Check(_check_cond_exp, _POLICY_BRACKETS),
+    "weak_strong": _Check(_check_weak_strong, _POLICY_BRACKETS, tol=1e-12, verdict=_weak_strong_verdict),
+    "spectral_weak": _Check(_check_spectral_weak, _POLICY_BRACKETS, tol=1e-12, outer=True),
+    "weak_product": _Check(_check_weak_product, _POLICY_BRACKETS, tol=1e-12, outer=True),
+    "strong_product": _Check(_check_strong_product, _POLICY_BRACKETS),
+    "alt_upper": _Check(_check_alt_upper, _POLICY_BRACKETS),
+    "alt_bb": _Check(_check_alt_bb, _POLICY_M_LHS),
+    "shrinking": _Check(_check_shrinking, _POLICY_BRACKETS, tol=1e-9),
+    "poly_ww": _Check(_check_poly_ww, _POLICY_BRACKETS),
+    "intermediate_F_ptwise": _Check(_check_intermediate_F_ptwise, _POLICY_BRACKETS),
+    "intermediate_F_integral": _Check(_check_intermediate_F_integral, _POLICY_BRACKETS),
+    "general_rbb": _Check(_check_general_rbb, _POLICY_M_RHS),
+    "hilbert_cauchy": _Check(_check_hilbert_cauchy, _POLICY_EXACT, tol=1e-9),
 }
 
 
@@ -1002,14 +911,32 @@ def available_checks() -> list:
     return sorted(_REGISTRY)
 
 
+def _lookup(name: str) -> _Check:
+    if name not in _REGISTRY:
+        raise KeyError(f"unknown check {name!r}; available: {', '.join(available_checks())}")
+    return _REGISTRY[name]
+
+
+def check_parameters(name: str) -> tuple:
+    """The scenario names the check ``name`` reads: its declared parameters."""
+    return tuple(inspect.signature(_lookup(name).run).parameters)
+
+
 def run_named_check(name: str, **scenario) -> InequalityCheck:
     """Evaluate a named inequality on a scenario (sensible defaults built in)."""
-    try:
-        builder = _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(available_checks())
-        raise KeyError(f"unknown check {name!r}; available: {known}") from None
-    return builder(**scenario)
+    check = _lookup(name)
+    items = list(check.run(**scenario))
+    rows = [r for r in items if not isinstance(r, str)]
+    notes = "".join(r for r in items if isinstance(r, str))
+    if check.verdict is not None:
+        verdict = check.verdict(rows, check.tol)
+    elif check.tol is None:
+        verdict = all(math.isfinite(r.c_N) for r in rows)
+    else:
+        verdict = all((r.slack_outer if check.outer else r.slack) >= -check.tol for r in rows)
+    c_max = max((r.c_N for r in rows), default=math.inf)
+    constant_free = check.tol is not None
+    return InequalityCheck(name, rows, c_max, verdict, check.policy, constant_free, check.tol or 0.0, notes)
 
 
 # -- Hilbert transforms along orbits -----------------------------------------

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import inspect
 import itertools
 import json
 import math
@@ -31,9 +30,9 @@ import numpy as np
 from . import __version__
 from ._util import BudgetExceeded
 from .analysis import (
-    _REGISTRY as _CHECKS,
     _ceil_power,
     available_checks,
+    check_parameters,
     decay_fit,
     hilbert_partial_sums,
     precsim_fit,
@@ -114,21 +113,7 @@ class ExperimentConfig:
             raise ConfigError("oversample must be >= 4")
 
     def canonical_dict(self) -> dict:
-        return {
-            "op": self.op,
-            "system": self.system,
-            "system_b": self.system_b,
-            "functions": self.functions,
-            "k": self.k,
-            "degree": self.degree,
-            "schedule": self.schedule,
-            "oversample": self.oversample,
-            "seed": self.seed,
-            "sigma": self.sigma,
-            "x_point": self.x_point,
-            "check_name": self.check_name,
-            "extra": self.extra,
-        }
+        return asdict(self)
 
     def canonical_json(self) -> str:
         return json.dumps(self.canonical_dict(), sort_keys=True, separators=(",", ":"))
@@ -245,13 +230,15 @@ def _build_function(spec: dict, system, label: str):
 
 
 def _resolve_scene(config: ExperimentConfig):
-    """Build the working system and observables for an operation."""
-    sys_a = build_system(config.system) if config.system else None
+    """Build the working system and observables for an operation that needs a system."""
+    if not config.system:
+        raise ConfigError(f"op {config.op!r} needs a system")
+    sys_a = build_system(config.system)
     sys_b = build_system(config.system_b) if config.system_b else None
     specs = config.functions or [{"kind": "random", "seed": config.seed}]
     tensored = any(s.get("kind") == "tensor" for s in specs)
     if tensored:
-        if sys_a is None or sys_b is None:
+        if sys_b is None:
             raise ConfigError("tensor functions need both 'system' and 'system_b'")
         working = product_system(sys_a, sys_b)
         functions = []
@@ -283,8 +270,6 @@ def run_experiment(config: ExperimentConfig, threads: int = 1, budget=None) -> R
 
     if op in ("ww", "weak_ww", "decay", "precsim"):
         system, _, functions = _resolve_scene(config)
-        if system is None:
-            raise ConfigError(f"op {op!r} needs a system")
         f = functions[0]
         out = []
         for N in config.schedule:
@@ -327,8 +312,6 @@ def run_experiment(config: ExperimentConfig, threads: int = 1, budget=None) -> R
 
     elif op == "offdiag":
         system, _, functions = _resolve_scene(config)
-        if system is None:
-            raise ConfigError("op 'offdiag' needs a system")
         order = config.k - 1
         if order < 1:
             raise ConfigError("op 'offdiag' needs k >= 2")
@@ -348,8 +331,6 @@ def run_experiment(config: ExperimentConfig, threads: int = 1, budget=None) -> R
 
     elif op == "mrec":
         system, _, functions = _resolve_scene(config)
-        if system is None:
-            raise ConfigError("op 'mrec' needs a system")
         restarts = int(config.extra.get("restarts", 2))
         for N in config.schedule:
             m = uniform_mrec_bracket(system, functions[0], config.k, N,
@@ -358,8 +339,6 @@ def run_experiment(config: ExperimentConfig, threads: int = 1, budget=None) -> R
 
     elif op in ("mrec_sup", "polyphase"):
         system, _, functions = _resolve_scene(config)
-        if system is None:
-            raise ConfigError(f"op {op!r} needs a system")
         degree = 1 if op == "mrec_sup" else config.degree
         exponents = ExponentVector(tuple(config.extra.get("exponents",
                                                           range(1, len(functions) + 1))))
@@ -370,7 +349,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1, budget=None) -> R
 
     elif op == "return_times":
         system, sys_y, functions = _resolve_scene(config)
-        if system is None or sys_y is None:
+        if sys_y is None:
             raise ConfigError("op 'return_times' needs 'system' (base) and 'system_b' (companion)")
         g_spec = config.extra.get("g", {"kind": "random", "seed": config.seed + 1})
         g = _build_function(g_spec, sys_y, "extra.g")
@@ -386,8 +365,6 @@ def run_experiment(config: ExperimentConfig, threads: int = 1, budget=None) -> R
 
     elif op == "hilbert":
         system, sys_y, functions = _resolve_scene(config)
-        if system is None:
-            raise ConfigError("op 'hilbert' needs a system")
         exponents = ExponentVector(tuple(config.extra.get("exponents",
                                                           range(1, len(functions) + 1))))
         weights = None
@@ -437,36 +414,82 @@ def run_experiment(config: ExperimentConfig, threads: int = 1, budget=None) -> R
                         config.canonical_dict())
 
 
+# A check config's systems go to the first parameter of their tuple that the
+# check declares, and its observables fill f, g (or f1, f2) in order; an input
+# that no declared parameter takes is refused.
+_SYSTEM_SLOTS = ("system", "system_a")
+_COMPANION_SLOTS = ("system_b", "system_y")
+_FUNCTION_SLOTS = ("f", "f1", "g", "f2")
+# parameters that hold library objects, which --extra's JSON cannot give
+_OBJECT_PARAMS = frozenset(_SYSTEM_SLOTS + _COMPANION_SLOTS + _FUNCTION_SLOTS + (
+    "functions", "assignment", "sequence", "partition", "schedule", "g_list", "threads", "budget"))
+
+
 def _run_check(config: ExperimentConfig, threads: int, budget):
-    builder_sig = inspect.signature(_CHECKS[config.check_name])
-    system, sys_b, functions = _resolve_scene(config) if (config.system or config.functions) \
-        else (None, None, [])
-    candidate = {
-        "system": system,
-        "system_a": system,
-        "system_b": sys_b,
-        "system_y": sys_b,
-        "f": functions[0] if functions else None,
-        "g": functions[1] if len(functions) > 1 else None,
-        "k": config.k,
-        "N_values": tuple(config.schedule),
-        "N": config.schedule[-1],
-        "oversample": config.oversample,
-        "seed": config.seed,
-        "sigma": config.sigma,
-        "threads": threads,
-        "budget": budget,
-    }
-    if functions and config.functions and config.functions[0].get("kind") == "table":
-        candidate["sequence"] = np.asarray(functions[0].values)
+    """Run a named check on the config, routed into the parameters it declares.
+
+    A given system, observable or extra key that none of them reads is
+    refused with ConfigError, as is a scenario the check rejects (ValueError
+    or TypeError).  With no observable given, the check draws its own.
+    """
+    name, specs = config.check_name, config.functions
+    params = check_parameters(name)
+
+    def slot(names, what):
+        found = [p for p in names if p in params]
+        if not found:
+            raise ConfigError(f"check {name!r} reads no {what}; it reads {', '.join(params)}")
+        return found[0]
+
+    given = {"k": config.k, "N_values": tuple(config.schedule), "N": config.schedule[-1],
+             "oversample": config.oversample, "seed": config.seed, "sigma": config.sigma,
+             "threads": threads, "budget": budget}
+    kwargs = {key: value for key, value in given.items() if key in params}
+    built = None
+    if any(s.get("kind") == "tensor" for s in specs):
+        system, _, built = _resolve_scene(config)  # tensors live on the product system
+        companion = None
+    else:
+        system = build_system(config.system) if config.system else None
+        companion = build_system(config.system_b) if config.system_b else None
+
+    def build(i, home):
+        return built[i] if built else _build_function(specs[i], home, f"functions[{i}]")
+
+    if system is not None:
+        kwargs[slot(_SYSTEM_SLOTS, "system")] = system
+    if companion is not None:
+        kwargs[slot(_COMPANION_SLOTS, "system_b")] = companion
+    if specs and "sequence" in params:
+        if len(specs) > 1 or specs[0].get("kind") != "table":
+            raise ConfigError(f"check {name!r} reads one table: observable, as its sequence")
+        kwargs["sequence"] = np.asarray(build(0, None).values)
+    elif specs and "functions" in params:
+        kwargs["functions"] = [build(i, system) for i in range(len(specs))]
+    elif specs and "assignment" in params:
+        order = len(specs).bit_length() - 1
+        if order < 1 or len(specs) != 2**order:
+            raise ConfigError(f"check {name!r} reads one observable per vertex of a cube, not {len(specs)}")
+        vertices = itertools.product((0, 1), repeat=order)
+        kwargs["assignment"] = CubeAssignment({v: build(i, system) for i, v in enumerate(vertices)})
+    elif specs:
+        slots = [p for p in _FUNCTION_SLOTS if p in params]
+        if len(specs) > len(slots):
+            raise ConfigError(f"check {name!r} reads {len(slots)} observable(s), not {len(specs)}")
+        for i, p in enumerate(slots[: len(specs)]):
+            kwargs[p] = build(i, companion if p == "g" else system)
     for key, value in config.extra.items():
-        candidate["H_values" if key == "H" else key] = [value] if key == "H" else value
-    kwargs = {
-        name: candidate[name]
-        for name in builder_sig.parameters
-        if name in candidate and candidate[name] is not None
-    }
-    check = run_named_check(config.check_name, **kwargs)
+        if key == "H":  # a list of windows; --H gives one
+            key, value = slot(("H_values", "H"), "window H"), value if isinstance(value, list) else [value]
+        if key in _OBJECT_PARAMS:
+            raise ConfigError(f"extra key {key!r} cannot be given as JSON")
+        kwargs[slot((key,), f"extra key {key!r}")] = value
+    try:
+        if "exponents" in config.extra:
+            kwargs["exponents"] = ExponentVector(tuple(kwargs["exponents"]))
+        check = run_named_check(name, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"check {name!r}: {exc}") from exc
     rows = [
         {"N": r.N, "lower": r.lhs, "upper": r.rhs_core, "c": r.c_N,
          "slack": r.slack, "slack_outer": r.slack_outer, "label": r.label}

@@ -145,27 +145,6 @@ class Bracket:
         return Bracket(float(value), float(value), hint)
 
 
-@dataclass(frozen=True)
-class PhaseSpec:
-    """Polynomial phase t_1 n + t_2 n^2 + ... + t_k n^k.
-
-    ``fixed`` pins the coefficient vector for single-point evaluation;
-    leaving it None means the supremum over all coefficients is requested.
-    """
-
-    degree: int
-    fixed: tuple | None = None
-
-    def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError("phase degree must be >= 0")
-        if self.fixed is not None:
-            fixed = tuple(float(t) for t in self.fixed)
-            if len(fixed) != self.degree:
-                raise ValueError("fixed coefficients must match the phase degree")
-            object.__setattr__(self, "fixed", fixed)
-
-
 def _validate_oversample(oversample: int) -> int:
     oversample = int(oversample)
     if oversample < _MIN_OVERSAMPLE:

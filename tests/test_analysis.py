@@ -1,6 +1,9 @@
 """Decay fitting, domination witnesses, the check registry, and Hilbert sums."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -15,6 +18,7 @@ from wwlab.analysis import (
     ReturnTimesWeights,
     SeriesReport,
     available_checks,
+    check_parameters,
     decay_fit,
     hilbert_criterion,
     hilbert_partial_sums,
@@ -139,6 +143,53 @@ def test_every_registered_check_passes_defaults():
 def test_unknown_check_name_lists_registry():
     with pytest.raises(KeyError, match="vdc"):
         run_named_check("does_not_exist")
+    with pytest.raises(KeyError, match="vdc"):
+        check_parameters("does_not_exist")
+
+
+def test_checks_read_only_their_declared_scenario():
+    assert check_parameters("vdc") == ("sequence", "H_values", "seed", "length")
+    assert check_parameters("weak_product")[:4] == ("system_a", "system_b", "f", "g")
+    with pytest.raises(TypeError):
+        run_named_check("vdc", system=cyclic_shift(5))
+
+
+# Every registered check at its defaults, reverse_bourgain's exact sign-class
+# leg, intermediate_F_ptwise through its S.T @ W product on a 521 x 131
+# scenario, and a fixed decay and domination fit, with every float written as
+# float.hex().
+_GOLDEN_PROBE = """
+import dataclasses, hashlib, json, math
+from wwlab.analysis import available_checks, decay_fit, precsim_fit, run_named_check
+from wwlab.systems import cyclic_shift, random_permutation
+
+def canon(x):
+    if dataclasses.is_dataclass(x):
+        return canon(dataclasses.astuple(x))
+    if isinstance(x, (list, tuple)):
+        return [canon(v) for v in x]
+    return float(x).hex() if isinstance(x, float) else x
+
+checks = [run_named_check(name) for name in available_checks()]
+checks.append(run_named_check("reverse_bourgain", system=cyclic_shift(8), N_values=(16,), brute=True))
+checks.append(run_named_check("intermediate_F_ptwise", system=random_permutation(521, 1),
+                              system_y=random_permutation(131, 2), N_values=(256,)))
+fits = [decay_fit([(N, 2.5 * N ** -0.4 * (1 + 0.05 * math.sin(N))) for N in (8, 16, 32, 64, 128)]),
+        precsim_fit([(N, N ** -0.3 + 0.01 * math.cos(N)) for N in (16, 32, 64, 128)],
+                    [(n, n ** -0.5) for n in range(1, 129)])]
+print(hashlib.sha256(json.dumps(canon(checks + fits)).encode()).hexdigest())
+"""
+# computed before the checks shared one row constructor and verdict rule
+_GOLDEN_DIGEST = "46b0b4e819d39bf8cad6663bf9c2ad854ea3965bfc3c1a75c58e9ebf1b3f9e42"
+
+
+def test_check_outputs_match_the_golden_digest_at_one_and_two_blas_threads():
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        out = subprocess.run([sys.executable, "-c", _GOLDEN_PROBE], capture_output=True, text=True,
+                             check=True, env=env).stdout.strip()
+        assert out == _GOLDEN_DIGEST, f"BLAS threads {threads}"
 
 
 def test_inequality_check_stability_reading():
@@ -261,6 +312,8 @@ def test_maximal_check_memory_is_linear_in_the_system():
     assert peak < 8 * 2**20
     with pytest.raises(BudgetExceeded):
         run_named_check("maximal", system=system, N_cap=10**8)
+    with pytest.raises(BudgetExceeded):
+        run_named_check("maximal", budget=1.0)  # 52 x 13 samples at the defaults
 
 
 @settings(max_examples=30, deadline=None)

@@ -10,7 +10,7 @@ import pytest
 
 import wwlab.analysis
 from wwlab import cli
-from wwlab.analysis import CheckRow, InequalityCheck
+from wwlab.analysis import CheckRow, run_named_check
 from wwlab.cli import (
     ConfigError,
     ExperimentConfig,
@@ -24,6 +24,8 @@ from wwlab.cli import (
     parse_system,
     run_experiment,
 )
+from wwlab.recurrence import ExponentVector
+from wwlab.systems import cyclic_shift, product_system, random_mean_zero, tensor_observable
 
 
 # -- shorthand parsing --------------------------------------------------------
@@ -122,6 +124,75 @@ def test_check_vdc_through_runner():
     record = run_experiment(cfg)
     assert record.summary["verdict"] is True
     assert record.rows[0]["slack"] == 0.09375
+
+
+def _check_rows(name, **fields):
+    return run_experiment(ExperimentConfig(op="check", check_name=name, **fields)).rows
+
+
+_CYCLE_13 = {"kind": "cyclic_shift", "p": 13}
+
+
+def _random(*seeds):
+    return [{"kind": "random", "seed": s} for s in seeds]
+
+
+@pytest.mark.parametrize("name, count", [
+    ("sublinearity", 1), ("poly_ww", 1), ("intermediate_F_integral", 1), ("offdiag_control", 2),
+])
+def test_check_reads_the_given_observables(name, count):
+    # these checks declare no `f`: --f reaches f1, functions or the cube assignment
+    rows = [_check_rows(name, system=_CYCLE_13, functions=_random(*range(s, s + count)), schedule=[64])
+            for s in (2, 99)]
+    assert rows[0] != rows[1]
+
+
+def test_check_routes_match_the_library():
+    a, b = cyclic_shift(5), cyclic_shift(7)
+    rows = _check_rows("weak_product", system={"kind": "cyclic_shift", "p": 5},
+                       system_b={"kind": "cyclic_shift", "p": 7}, functions=_random(1, 2), schedule=[32])
+    lib = run_named_check("weak_product", system_a=a, system_b=b, f=random_mean_zero(a, 1),
+                          g=random_mean_zero(b, 2), N_values=(32,))
+    assert [(r["lower"], r["upper"]) for r in rows] == [(r.lhs, r.rhs_core) for r in lib.rows]
+    # no observable given: the check draws its own nonnegative default
+    rows = _check_rows("maximal", system={"kind": "cyclic_shift", "p": 64})
+    assert rows[0]["lower"] == run_named_check("maximal", system=cyclic_shift(64)).rows[0].lhs
+    # one observable per vertex, in the order of the default assignment's seeds
+    assert _check_rows("offdiag_control", system=_CYCLE_13, functions=_random(0, 1)) == \
+        _check_rows("offdiag_control", system=_CYCLE_13)
+    assert _check_rows("general_rbb", extra={"H": [2, 3]})[0]["label"] == "H=(2, 3)"
+    lib = run_named_check("poly_ww", exponents=ExponentVector((2,)), N_values=(32,))
+    assert _check_rows("poly_ww", extra={"exponents": [2]}, schedule=[32])[0]["lower"] == lib.rows[0].lhs
+    # tensor observables live on the product system, which takes the check's `system`
+    tensor = {"kind": "tensor", "left": _random(1)[0], "right": _random(2)[0]}
+    rows = _check_rows("weak_strong", system={"kind": "cyclic_shift", "p": 5},
+                       system_b={"kind": "cyclic_shift", "p": 7}, functions=[tensor], schedule=[32])
+    lib = run_named_check("weak_strong", system=product_system(a, b),
+                          f=tensor_observable(random_mean_zero(a, 1), random_mean_zero(b, 2)), N_values=(32,))
+    assert [r["lower"] for r in rows] == [r.lhs for r in lib.rows]
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["check:vdc", "--system", "cyclic:3", "--f", "table:1,2,3"], "reads no system"),
+    (["check:vdc", "--f", "random:3"], "one table"),
+    (["check:bourgain", "--system", "cyclic:13", "--system-b", "cyclic:5"], "reads no system_b"),
+    (["check:bourgain", "--system", "cyclic:13", "--f", "random:1", "--f", "random:2"], "not 2"),
+    (["check:offdiag_control", "--system", "cyclic:13", "--f", "random:1", "--f", "random:2",
+      "--f", "random:3"], "vertex"),
+    (["check:bourgain", "--extra", '{"bogus": 1}'], "'bogus'"),
+    (["check:cond_exp", "--extra", '{"partition": [0, 1]}'], "'partition'"),
+    (["check:maximal", "--system", "cyclic:13", "--f", "random:2"], "nonnegative"),
+    (["check:general_rbb", "--H", "3"], "window sizes"),  # read: order 2 needs two windows
+])
+def test_check_inputs_are_read_or_refused(tmp_path, capsys, argv, reason):
+    assert main(["run", "--op", *argv, "--no-cache", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and reason in err
+
+
+def test_check_budget_reaches_the_maximal_check(tmp_path, capsys):
+    assert main(["run", "--op", "check:maximal", "--budget", "1", "--no-cache", "--out", str(tmp_path)]) == 2
+    assert "budget refusal" in capsys.readouterr().err
 
 
 def test_record_content_ignores_wall_time():
@@ -271,11 +342,10 @@ def test_main_bad_flag_exit_code():
 
 
 def test_main_failing_check_exit_code(tmp_path, monkeypatch, capsys):
-    def always_fails():
-        row = CheckRow(1, 2.0, 1.0, 2.0, -1.0, -1.0)
-        return InequalityCheck("stub", [row], 2.0, False, "exact")
+    def refuted():  # a constant-free row with negative slack fails the shared rule
+        yield CheckRow(1, 2.0, 1.0, 2.0, -1.0, -1.0)
 
-    monkeypatch.setitem(wwlab.analysis._REGISTRY, "stub", always_fails)
+    monkeypatch.setitem(wwlab.analysis._REGISTRY, "stub", wwlab.analysis._Check(refuted, "exact", tol=0.0))
     code = main(["run", "--op", "check:stub", "--no-cache", "--out", str(tmp_path)])
     assert code == 1
     assert "verdict: False" in capsys.readouterr().out
