@@ -61,9 +61,7 @@ def _transforms_per_row(U, oversample):
     ("3136x7 quadratic search", 16),
     ("3136x7 quadratic search", 64),
     # full point chunks at the three row lengths strong-avg runs
-    ("256x1024 strong chunk", 16),
-    ("1024x256 strong chunk", 16),
-    ("4096x64 strong chunk", 16),
+    *((f"{_POINT_CHUNK_BUDGET // N}x{N} strong chunk", 16) for N in (1024, 256, 64)),
     # a row length either side of the sixth-order screen's cut-over
     *((f"{_POINT_CHUNK_BUDGET // N}x{N} unimodular", 16) for N in (3 * _SCREEN_MIN_N // 4, _SCREEN_MIN_N)),
 ])

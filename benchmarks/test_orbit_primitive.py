@@ -9,7 +9,7 @@ Compare two saved runs with ``pytest-benchmark compare``.
 """
 import numpy as np
 
-from wwlab.averages import _POINT_CHUNK_BUDGET
+from wwlab.averages import _POINT_CHUNK_BUDGET, _row_chunks
 from wwlab.systems import identity_system, random_permutation
 
 
@@ -29,12 +29,11 @@ def test_strong_kernel_chunk_gather(benchmark):
     values = np.exp(2j * np.pi * np.random.default_rng(0).random(system.size))
     N = 1024
     points, n = np.arange(system.size)[:, None], np.arange(1, N + 1)
-    chunk = _POINT_CHUNK_BUDGET // N
 
     def gather_all():
-        for start in range(0, system.size, chunk):
-            seq = values[system.orbit_indices(points[start : start + chunk], 1, n)]
+        for x, seq in _row_chunks(system.size, N, _POINT_CHUNK_BUDGET):
+            np.take(values, system.orbit_indices(points[x], 1, n), out=seq, mode="clip")
         return seq
 
     seq = benchmark.pedantic(gather_all, rounds=10, warmup_rounds=1)
-    assert seq.shape == (chunk, N) and seq.flags.c_contiguous
+    assert seq.shape == (_POINT_CHUNK_BUDGET // N, N) and seq.flags.c_contiguous

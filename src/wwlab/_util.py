@@ -22,7 +22,6 @@ import math
 import os
 import threading
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence
 
 DEFAULT_BUDGET = 2.0e10
@@ -85,6 +84,8 @@ def pmap(fn: Callable, items: Sequence, threads: int = 1) -> list:
     items = list(items)
     if threads <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
+    from concurrent.futures import ThreadPoolExecutor  # imported here: serial runs load neither it nor logging
+
     with ThreadPoolExecutor(max_workers=int(threads)) as pool:
         return list(pool.map(fn, items))
 

@@ -182,11 +182,6 @@ class InequalityCheck:
         return rows[0].c_N >= self.c_max * (1.0 - rel)
 
 
-def _finish(name, rows, verdict, policy, constant_free=False, tol=0.0, notes=""):
-    c_max = max((r.c_N for r in rows), default=math.inf)
-    return InequalityCheck(name, rows, c_max, verdict, policy, constant_free, tol, notes)
-
-
 def _ratio(lhs: float, rhs: float) -> float:
     if rhs <= 0.0:
         return math.inf if lhs > 0.0 else 0.0

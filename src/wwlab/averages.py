@@ -197,15 +197,28 @@ def cube_product(system: FiniteSystem, assignment: CubeAssignment, h) -> Observa
     return Observable(vals)
 
 
+def _row_chunks(rows: int, cols: int, budget: int):
+    """(slice, buffer) per chunk of about ``budget`` entries of a (rows, cols) table.
+
+    Every buffer is the leading rows of one C-ordered complex array, so a
+    pipeline that fills and consumes each chunk in turn holds one chunk at a
+    time.
+    """
+    chunk = max(1, budget // cols)
+    buf = np.empty((min(chunk, rows), cols), dtype=np.complex128)
+    for start in range(0, rows, chunk):
+        stop = min(start + chunk, rows)
+        yield slice(start, stop), buf[: stop - start]
+
+
 def _strong_kernel(system: FiniteSystem, values: np.ndarray, N: int, oversample: int, norm_p: int):
     """(lower, upper) of || sup_t |(1/N) sum_n e^{2 pi i n t} F(T^n x)| ||_p."""
     points, n = np.arange(system.size)[:, None], np.arange(1, N + 1)
-    chunk = max(1, _POINT_CHUNK_BUDGET // N)
     lows = np.empty(system.size)
     ups = np.empty(system.size)
-    for start in range(0, system.size, chunk):
-        seq = values[system.orbit_indices(points[start : start + chunk], 1, n)]  # (points, N), C-ordered
-        lows[start : start + chunk], ups[start : start + chunk], _ = _grid_sup_rows(seq, oversample)
+    for x, seq in _row_chunks(system.size, N, _POINT_CHUNK_BUDGET):
+        np.take(values, system.orbit_indices(points[x], 1, n), out=seq, mode="clip")  # one orbit per row
+        lows[x], ups[x], _ = _grid_sup_rows(seq, oversample)
     w = system.weights
     if norm_p == 2:
         return math.sqrt(fsum((w * lows**2).tolist())), math.sqrt(fsum((w * ups**2).tolist()))
@@ -221,10 +234,12 @@ def _weak_kernel(system: FiniteSystem, values: np.ndarray, N: int, oversample: i
     """
     conj, w = np.conjugate(values)[None, :], system.weights[None, :]
     rho = np.empty(N, dtype=np.complex128)
-    chunk = max(1, _POINT_CHUNK_BUDGET // system.size)
-    for d in range(0, N, chunk):
-        shifted = values[system.orbit_indices(slice(None), 1, np.arange(d, min(d + chunk, N))[:, None])]
-        rho[d : d + chunk] = (shifted * conj * w).sum(axis=1)  # each rho[d] is its own row's sum
+    for d, shifted in _row_chunks(N, system.size, _POINT_CHUNK_BUDGET):
+        np.take(values, system.orbit_indices(slice(None), 1, np.arange(d.start, d.stop)[:, None]),
+                out=shifted, mode="clip")
+        shifted *= conj  # in place, as shifted * conj * w
+        shifted *= w
+        rho[d] = shifted.sum(axis=1)  # each rho[d] is its own row's sum
     coeff = np.empty(2 * N - 1, dtype=np.complex128)
     d = np.arange(N)
     pos = (N - d) / N**2 * rho

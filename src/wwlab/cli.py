@@ -68,6 +68,11 @@ class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
 
 
+# Values an operation runs with when its config leaves these fields out.  A
+# check config keeps them None, so the check falls back on its own defaults.
+_RUN_DEFAULTS = {"k": 1, "schedule": (16, 32, 64), "oversample": 16, "seed": 0, "sigma": 1.0}
+
+
 # -- configuration -----------------------------------------------------------
 
 
@@ -77,12 +82,12 @@ class ExperimentConfig:
     system: dict | None = None
     system_b: dict | None = None
     functions: list = field(default_factory=list)
-    k: int = 1
+    k: int | None = None
     degree: int = 1
-    schedule: list = field(default_factory=lambda: [16, 32, 64])
-    oversample: int = 16
-    seed: int = 0
-    sigma: float = 1.0
+    schedule: list | None = None
+    oversample: int | None = None
+    seed: int | None = None
+    sigma: float | None = None
     x_point: int = 0
     check_name: str | None = None
     extra: dict = field(default_factory=dict)
@@ -97,19 +102,24 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"unknown check {self.check_name!r}; known: {', '.join(available_checks())}"
                 )
-        if not self.schedule:
-            raise ConfigError("schedule must be nonempty")
-        cleaned = [int(N) for N in self.schedule]
-        if any(N < 1 for N in cleaned):
-            raise ConfigError("schedule entries must be >= 1")
-        if any(b <= a for a, b in zip(cleaned, cleaned[1:])):
-            raise ConfigError("schedule must be strictly increasing")
-        self.schedule = cleaned
-        if self.k < 1:
+        if self.op != "check":
+            for name, value in _RUN_DEFAULTS.items():
+                if getattr(self, name) is None:
+                    setattr(self, name, value)
+        if self.schedule is not None:
+            if not self.schedule:
+                raise ConfigError("schedule must be nonempty")
+            cleaned = [int(N) for N in self.schedule]
+            if any(N < 1 for N in cleaned):
+                raise ConfigError("schedule entries must be >= 1")
+            if any(b <= a for a, b in zip(cleaned, cleaned[1:])):
+                raise ConfigError("schedule must be strictly increasing")
+            self.schedule = cleaned
+        if self.k is not None and self.k < 1:
             raise ConfigError("k must be >= 1")
         if self.degree < 1:
             raise ConfigError("degree must be >= 1")
-        if self.oversample < 4:
+        if self.oversample is not None and self.oversample < 4:
             raise ConfigError("oversample must be >= 4")
 
     def canonical_dict(self) -> dict:
@@ -441,10 +451,11 @@ def _run_check(config: ExperimentConfig, threads: int, budget):
             raise ConfigError(f"check {name!r} reads no {what}; it reads {', '.join(params)}")
         return found[0]
 
-    given = {"k": config.k, "N_values": tuple(config.schedule), "N": config.schedule[-1],
-             "oversample": config.oversample, "seed": config.seed, "sigma": config.sigma,
+    given = {"k": config.k, "oversample": config.oversample, "seed": config.seed, "sigma": config.sigma,
              "threads": threads, "budget": budget}
-    kwargs = {key: value for key, value in given.items() if key in params}
+    if config.schedule is not None:
+        given.update(N_values=tuple(config.schedule), N=config.schedule[-1])
+    kwargs = {key: value for key, value in given.items() if key in params and value is not None}
     built = None
     if any(s.get("kind") == "tensor" for s in specs):
         system, _, built = _resolve_scene(config)  # tensors live on the product system
@@ -674,7 +685,7 @@ def _config_from_args(args) -> ExperimentConfig:
         functions=[parse_function(f) for f in args.f or []],
         k=args.k,
         degree=args.degree,
-        schedule=parse_schedule(args.N) if args.N else [16, 32, 64],
+        schedule=parse_schedule(args.N) if args.N else None,
         oversample=args.oversample,
         seed=args.seed,
         sigma=args.sigma,
@@ -690,12 +701,14 @@ def _add_run_flags(p):
     p.add_argument("--system", help="system shorthand, e.g. cyclic:521")
     p.add_argument("--system-b", dest="system_b", help="companion/second system")
     p.add_argument("--f", action="append", help="function shorthand (repeatable)")
-    p.add_argument("--k", type=int, default=1, help="order parameter")
+    # --k, --N, --oversample, --seed and --sigma default to _RUN_DEFAULTS,
+    # or for a check to the check's own defaults
+    p.add_argument("--k", type=int, help="order parameter")
     p.add_argument("--degree", type=int, default=1, help="phase degree (polyphase)")
     p.add_argument("--N", help="schedule: 16,32,64 or 16..256x2")
-    p.add_argument("--oversample", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--oversample", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--sigma", type=float)
     p.add_argument("--x", type=int, default=0, help="base point index")
     p.add_argument("--H", type=int, help="window parameter for checks that take one")
     p.add_argument("--extra", help="JSON dict of op-specific extras")
@@ -747,7 +760,8 @@ def _cmd_sweep(args) -> int:
     worst = 0
     for seed, k in itertools.product(seeds, k_values):
         args.seed, args.k = seed, k
-        print(f"== seed {seed} k {k} ==")
+        given = " ".join(f"{name} {value}" for name, value in (("seed", seed), ("k", k)) if value is not None)
+        print(f"== {given or 'defaults'} ==")
         worst = max(worst, _cmd_run(args))
     return worst
 

@@ -52,7 +52,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._util import check_budget, content_key, fsum, fsum_complex, memo
-from .averages import _POINT_CHUNK_BUDGET, CubeAssignment, cube_product
+from .averages import _POINT_CHUNK_BUDGET, CubeAssignment, _row_chunks, cube_product
 from .supbrackets import Bracket, _grid_sup_rows, sup_polyphase
 from .systems import FiniteSystem, Observable
 
@@ -409,16 +409,15 @@ def polyphase_mrec_sup(
     lo = np.empty(M)
     up = np.empty(M)
     points, n = np.arange(M)[:, None], np.arange(1, N + 1)
-    chunk = max(1, _POINT_CHUNK_BUDGET // N)  # one orbit per row, as in the strong kernel
-    for start in range(0, M, chunk):
-        x = slice(start, min(start + chunk, M))
-        seq = np.ones((x.stop - start, N), dtype=np.complex128)
-        for f, a in zip(functions, exponents.entries):
+    (f0, a0), *rest = zip(functions, exponents.entries)
+    for x, seq in _row_chunks(M, N, _POINT_CHUNK_BUDGET):
+        np.take(f0.values, system.orbit_indices(points[x], a0, n), out=seq, mode="clip")  # one orbit per row
+        for f, a in rest:
             seq *= f.values[system.orbit_indices(points[x], a, n)]
         if phase_degree == 1:
             lo[x], up[x], _ = _grid_sup_rows(seq, oversample)
         else:
-            for i, row in enumerate(seq, start):
+            for i, row in enumerate(seq, x.start):
                 b = sup_polyphase(row, phase_degree, oversample, budget)
                 lo[i] = b.lower
                 up[i] = b.upper
@@ -537,23 +536,22 @@ def intermediate_F(
     check_budget(len(tuples) * float(M) * N * oversample * max(1.0, math.log2(oversample * N)),
                  budget, "intermediate_F")
     points, n = np.arange(M)[:, None], np.arange(1, N + 1)
-    tables = [system.orbit_indices(points, a, n) for a in exponents.entries]  # one orbit per row
-    chunk = max(1, _POINT_CHUNK_BUDGET // N)
     lo_acc = np.zeros(M)
     up_acc = np.zeros(M)
-    lo = np.empty(M)
-    up = np.empty(M)
-    for h in tuples:
-        cubes = [cube_product(system, CubeAssignment.diagonal(f, K_order - 1), [a * x for x in h]).values
-                 for f, a in zip(functions, exponents.entries)]
-        for start in range(0, M, chunk):
-            x = slice(start, min(start + chunk, M))
-            seq = np.ones((x.stop - start, N), dtype=np.complex128)
-            for cube, tbl in zip(cubes, tables):
-                seq *= cube[tbl[x]]
-            lo[x], up[x], _ = _grid_sup_rows(seq, oversample)
-        lo_acc += lo
-        up_acc += up
+    for x, seq in _row_chunks(M, N, _POINT_CHUNK_BUDGET):
+        tables = [system.orbit_indices(points[x], a, n) for a in exponents.entries]  # one orbit per row
+        # the chunk's orbit tables are built once, its cube products (O(M)
+        # each) once per shift tuple
+        for h in tuples:
+            cubes = [cube_product(system, CubeAssignment.diagonal(f, K_order - 1), [a * y for y in h]).values
+                     for f, a in zip(functions, exponents.entries)]
+            (c0, t0), *rest = zip(cubes, tables)
+            np.take(c0, t0, out=seq, mode="clip")
+            for cube, tbl in rest:
+                seq *= cube[tbl]
+            lo, up, _ = _grid_sup_rows(seq, oversample)
+            lo_acc[x] += lo
+            up_acc[x] += up
     lo_acc /= len(tuples)
     up_acc /= len(tuples)
     floor_term = float(root) ** (-1.0 / 2 ** (K_order - 1))

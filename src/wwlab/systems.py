@@ -356,15 +356,6 @@ def tensor_observable(f: Observable, g: Observable) -> Observable:
     return Observable(np.kron(f.values, g.values))
 
 
-def observable_to_json(f: Observable) -> str:
-    return json.dumps([[float(v.real), float(v.imag)] for v in f.values])
-
-
-def observable_from_json(text: str) -> Observable:
-    pairs = json.loads(text)
-    return Observable(np.asarray([complex(re, im) for re, im in pairs]))
-
-
 def shift_observable(system: FiniteSystem, f: Observable, a: int) -> Observable:
     """f composed with T^a, i.e. x -> f(T^a x)."""
     if len(f) != system.size:

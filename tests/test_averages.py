@@ -263,6 +263,31 @@ def test_weak_kernel_streams_lag_chunks():
     assert peak < 20 * 2**20
 
 
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_strong_kernel_holds_one_point_chunk():
+    # one reused chunk (4 MiB), its index table (2 MiB) and the grid kernel's
+    # scratch: 7.1 MiB measured, bound at about 1.25 times that; 11.0 MiB
+    # when the previous chunk stayed alive while the next was gathered
+    system = random_permutation(8192, 1)
+    assert _peak_bytes(ww_average, system, random_mean_zero(system, 1), 1, 1024) < 9 * 2**20
+
+
+def test_weak_kernel_forms_its_products_in_place():
+    # the lag chunk (2.1 MiB) and its index table (1.1 MiB): 3.2 MiB measured,
+    # bound at about 1.4 times that; 6.3 MiB with the two chunk-sized
+    # temporaries of shifted * conj * w
+    system = cyclic_shift(521)
+    assert _peak_bytes(weak_ww_average, system, random_mean_zero(system, 0), 2, 256) < 4.5 * 2**20
+
+
 def test_weak_bounded_by_strong():
     system = cyclic_shift(13)
     f = random_mean_zero(system, 9)

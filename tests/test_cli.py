@@ -172,6 +172,28 @@ def test_check_routes_match_the_library():
     assert [r["lower"] for r in rows] == [r.lhs for r in lib.rows]
 
 
+@pytest.mark.parametrize("name, fields, scenario", [
+    ("alt_bb", {}, {}),  # k = 2 by default: k = 1 is refused
+    ("alt_upper", {}, {}),  # k = 2, not 1
+    ("reverse_bourgain", {}, {}),  # N = 16, 64, 256, not 16, 32, 64
+    ("hilbert_cauchy", {}, {}),  # sigma = 0.9, not 1.0
+    # given values still reach the check
+    ("alt_upper", {"k": 3, "schedule": [64], "seed": 4}, {"k": 3, "N_values": (64,), "seed": 4}),
+])
+def test_check_config_routes_only_the_values_it_gives(name, fields, scenario):
+    lib = run_named_check(name, **scenario)
+    rows = _check_rows(name, **fields)
+    assert [(r["N"], r["lower"], r["upper"]) for r in rows] == [(r.N, r.lhs, r.rhs_core) for r in lib.rows]
+
+
+def test_check_flags_left_out_take_the_check_defaults(tmp_path):
+    assert main(["run", "--op", "check:alt_bb", "--no-cache", "--out", str(tmp_path)]) == 0
+    # the other operations keep the config defaults, and their config hashes
+    given = {"k": 1, "schedule": [16, 32, 64], "oversample": 16, "seed": 0, "sigma": 1.0}
+    assert ExperimentConfig(op="ww", system=_CYCLE_13).config_hash == \
+        ExperimentConfig(op="ww", system=_CYCLE_13, **given).config_hash == "fa63788b5830a3c1"
+
+
 @pytest.mark.parametrize("argv, reason", [
     (["check:vdc", "--system", "cyclic:3", "--f", "table:1,2,3"], "reads no system"),
     (["check:vdc", "--f", "random:3"], "one table"),

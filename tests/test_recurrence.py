@@ -576,6 +576,15 @@ def test_polyphase_streams_point_chunks():
     assert _peak_bytes(polyphase_mrec_sup, system, [f], ExponentVector((1,)), 1, 512) < 16 * 2**20
 
 
+def test_polyphase_holds_one_point_chunk():
+    # the first factor is gathered into the reused chunk (4 MiB) through its
+    # index table (2 MiB): 6.4 MiB measured, bound at about 1.3 times that;
+    # 10.2 MiB with a chunk of ones and a gathered factor
+    system = random_permutation(4096, 1)
+    f = random_mean_zero(system, 1)
+    assert _peak_bytes(polyphase_mrec_sup, system, [f], ExponentVector((1,)), 1, 512) < 8.5 * 2**20
+
+
 @pytest.mark.parametrize("chunk", [None, 5 * 16, 16])
 def test_intermediate_F_chunks_match_whole_array(monkeypatch, chunk):
     if chunk is not None:
@@ -606,3 +615,12 @@ def test_intermediate_F_fills_products_per_chunk():
     system = random_permutation(4096, 1)
     fs = [random_mean_zero(system, 1), random_mean_zero(system, 2)]
     assert _peak_bytes(intermediate_F, system, fs, ExponentVector((1, 2)), 2, 256) < 32 * 2**20
+
+
+def test_intermediate_F_keeps_no_orbit_table():
+    # orbit tables gathered per chunk (2 MiB each): 12.5 MiB measured, bound
+    # at about 1.3 times that; 24.6 MiB with a whole (M, N) table per
+    # exponent (8 MiB each)
+    system = random_permutation(4096, 1)
+    fs = [random_mean_zero(system, 1), random_mean_zero(system, 2)]
+    assert _peak_bytes(intermediate_F, system, fs, ExponentVector((1, 2)), 2, 256) < 16 * 2**20

@@ -1,5 +1,7 @@
 """Budget guard, order-independent reductions and the evaluation memo."""
 
+import os
+import subprocess
 import sys
 import threading
 
@@ -63,6 +65,14 @@ def test_pmap_preserves_order_across_thread_counts():
     serial = pmap(lambda x: x * x, items, threads=1)
     parallel = pmap(lambda x: x * x, items, threads=8)
     assert serial == parallel == [x * x for x in items]
+
+
+def test_serial_runs_load_no_thread_pool():
+    # concurrent.futures pulls in logging, which a serial run never uses
+    code = "import sys, wwlab.cli; print('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 def test_memo_byte_cap_evicts_least_recently_used():
