@@ -44,6 +44,7 @@ from .averages import (
 )
 from .recurrence import (
     ExponentVector,
+    _orbit_scalars,
     companion_weights,
     intermediate_F,
     polyphase_mrec_sup,
@@ -1022,17 +1023,12 @@ def hilbert_partial_sums(
     if N_max < 1:
         raise ValueError("N_max must be >= 1")
     check_budget(float(N_max) * (system.size + 2), what="hilbert_partial_sums")
-    n = np.arange(1, N_max + 1)
-    scalars = np.ones(N_max, dtype=np.complex128)
-    for f, a in zip(functions, exponents.entries):
-        if len(f) != system.size:
-            raise ValueError("observable size does not match system")
-        scalars *= f.values[system.orbit_indices(x_point, a, n)]
+    scalars = _orbit_scalars(system, functions, exponents, x_point, N_max)
     if weights is None:
         w = np.ones(N_max, dtype=np.complex128)
     else:
         w = weights.sequence(N_max)
-    terms = w * scalars / n.astype(np.float64) ** sigma
+    terms = w * scalars / np.arange(1.0, N_max + 1) ** sigma
     sums = np.cumsum(terms)
     return HilbertSums(label, sigma, [(int(i + 1), complex(sums[i])) for i in range(N_max)])
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import check_budget, content_key, fsum, memo, pmap
-from .supbrackets import Bracket, _grid_sup_rows, sup_norm_trig
+from .supbrackets import Bracket, _polyphase_rows, sup_norm_trig
 from .systems import FiniteSystem, Observable
 
 _POINT_CHUNK_BUDGET = 1 << 18  # complex entries gathered per point chunk (4 MiB)
@@ -211,14 +211,21 @@ def _row_chunks(rows: int, cols: int, budget: int):
         yield slice(start, stop), buf[: stop - start]
 
 
-def _strong_kernel(system: FiniteSystem, values: np.ndarray, N: int, oversample: int, norm_p: int):
-    """(lower, upper) of || sup_t |(1/N) sum_n e^{2 pi i n t} F(T^n x)| ||_p."""
+def _strong_kernel(system: FiniteSystem, factors, degree: int, N: int, oversample: int, norm_p: int):
+    """(lower, upper) of || sup_t |(1/N) sum_n e^{2 pi i p_t(n)} prod_j F_j(T^{a_j n} x)| ||_p.
+
+    ``factors`` lists (values of F_j, step a_j); p_t(n) = t_1 n + ... +
+    t_d n^d with d = ``degree``.
+    """
     points, n = np.arange(system.size)[:, None], np.arange(1, N + 1)
     lows = np.empty(system.size)
     ups = np.empty(system.size)
+    (v0, a0), *rest = factors
     for x, seq in _row_chunks(system.size, N, _POINT_CHUNK_BUDGET):
-        np.take(values, system.orbit_indices(points[x], 1, n), out=seq, mode="clip")  # one orbit per row
-        lows[x], ups[x], _ = _grid_sup_rows(seq, oversample)
+        np.take(v0, system.orbit_indices(points[x], a0, n), out=seq, mode="clip")  # one orbit per row
+        for v, a in rest:
+            seq *= v[system.orbit_indices(points[x], a, n)]
+        lows[x], ups[x], _ = _polyphase_rows(seq, degree, oversample)
     w = system.weights
     if norm_p == 2:
         return math.sqrt(fsum((w * lows**2).tolist())), math.sqrt(fsum((w * ups**2).tolist()))
@@ -278,7 +285,7 @@ def _average_pipeline(
     def one(h):
         F = cube_product(system, assignment, h)
         if kernel == "strong":
-            lo, up = _strong_kernel(system, F.values, N, oversample, norm_p)
+            lo, up = _strong_kernel(system, [(F.values, 1)], 1, N, oversample, norm_p)
         else:
             lo, up = _weak_kernel(system, F.values, N, oversample)
         return lo ** (2.0 / 3.0), up ** (2.0 / 3.0)

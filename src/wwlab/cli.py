@@ -347,55 +347,49 @@ def run_experiment(config: ExperimentConfig, threads: int = 1, budget=None) -> R
                                      restarts=restarts, seed=config.seed, budget=budget)
             rows.append({"N": N, "lower": m.lower, "upper": m.upper, "method": m.method})
 
-    elif op in ("mrec_sup", "polyphase"):
-        system, _, functions = _resolve_scene(config)
-        degree = 1 if op == "mrec_sup" else config.degree
-        exponents = ExponentVector(tuple(config.extra.get("exponents",
-                                                          range(1, len(functions) + 1))))
-        out = [(N, polyphase_mrec_sup(system, functions, exponents, degree, N,
-                                      config.oversample, budget=budget))
-               for N in config.schedule]
-        rows = _bracket_rows(out)
-
-    elif op == "return_times":
-        system, sys_y, functions = _resolve_scene(config)
-        if sys_y is None:
-            raise ConfigError("op 'return_times' needs 'system' (base) and 'system_b' (companion)")
-        g_spec = config.extra.get("g", {"kind": "random", "seed": config.seed + 1})
-        g = _build_function(g_spec, sys_y, "extra.g")
-        poly = [int(c) for c in config.extra.get("poly", [0, 1])]
-        exponents = ExponentVector(tuple(config.extra.get("exponents",
-                                                          range(1, len(functions) + 1))))
-        for N in config.schedule:
-            obs = return_times_average(sys_y, g, poly, system, functions, exponents,
-                                       config.x_point, N)
-            norm = integrate(sys_y, obs, p=2)
-            rows.append({"N": N, "lower": norm, "upper": norm})
-        summary["x_point"] = config.x_point
-
-    elif op == "hilbert":
+    elif op in ("mrec_sup", "polyphase", "return_times", "hilbert"):
+        # orbit products prod_j f_j o T^{a_j n}, one exponent per function
         system, sys_y, functions = _resolve_scene(config)
         exponents = ExponentVector(tuple(config.extra.get("exponents",
                                                           range(1, len(functions) + 1))))
-        weights = None
-        if "phase_t" in config.extra:
-            weights = PhaseWeights(tuple(float(t) for t in config.extra["phase_t"]))
-        elif "return_weights" in config.extra:
-            rw = config.extra["return_weights"]
+        if op in ("mrec_sup", "polyphase"):
+            degree = 1 if op == "mrec_sup" else config.degree
+            out = [(N, polyphase_mrec_sup(system, functions, exponents, degree, N,
+                                          config.oversample, budget=budget))
+                   for N in config.schedule]
+            rows = _bracket_rows(out)
+        elif op == "return_times":
             if sys_y is None:
-                raise ConfigError("return-time weights need 'system_b'")
-            g = _build_function(rw.get("g", {"kind": "random", "seed": config.seed + 1}),
-                                sys_y, "extra.return_weights.g")
-            weights = ReturnTimesWeights(sys_y, int(rw.get("y_point", 0)), (g,),
-                                         tuple(rw.get("steps", (1,))))
-        sums = hilbert_partial_sums(system, config.x_point, functions, exponents,
-                                    config.sigma, config.schedule[-1], weights)
-        wanted = set(config.schedule)
-        for N, value in sums.entries:
-            if N in wanted:
-                rows.append({"N": N, "lower": abs(value), "upper": abs(value),
-                             "re": value.real, "im": value.imag})
-        summary["sigma"] = config.sigma
+                raise ConfigError("op 'return_times' needs 'system' (base) and 'system_b' (companion)")
+            g_spec = config.extra.get("g", {"kind": "random", "seed": config.seed + 1})
+            g = _build_function(g_spec, sys_y, "extra.g")
+            poly = [int(c) for c in config.extra.get("poly", [0, 1])]
+            for N in config.schedule:
+                obs = return_times_average(sys_y, g, poly, system, functions, exponents,
+                                           config.x_point, N)
+                norm = integrate(sys_y, obs, p=2)
+                rows.append({"N": N, "lower": norm, "upper": norm})
+            summary["x_point"] = config.x_point
+        else:
+            weights = None
+            if "phase_t" in config.extra:
+                weights = PhaseWeights(tuple(float(t) for t in config.extra["phase_t"]))
+            elif "return_weights" in config.extra:
+                rw = config.extra["return_weights"]
+                if sys_y is None:
+                    raise ConfigError("return-time weights need 'system_b'")
+                g = _build_function(rw.get("g", {"kind": "random", "seed": config.seed + 1}),
+                                    sys_y, "extra.return_weights.g")
+                weights = ReturnTimesWeights(sys_y, int(rw.get("y_point", 0)), (g,),
+                                             tuple(rw.get("steps", (1,))))
+            sums = hilbert_partial_sums(system, config.x_point, functions, exponents,
+                                        config.sigma, config.schedule[-1], weights)
+            wanted = set(config.schedule)
+            for N, value in sums.entries:
+                if N in wanted:
+                    rows.append({"N": N, "lower": abs(value), "upper": abs(value),
+                                 "re": value.real, "im": value.imag})
+            summary["sigma"] = config.sigma
 
     elif op == "check":
         summary, rows = _run_check(config, threads, budget)

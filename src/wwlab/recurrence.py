@@ -51,9 +51,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._util import check_budget, content_key, fsum, fsum_complex, memo
-from .averages import _POINT_CHUNK_BUDGET, CubeAssignment, _row_chunks, cube_product
-from .supbrackets import Bracket, _grid_sup_rows, sup_polyphase
+from ._util import check_budget, content_key, fsum, memo
+from .averages import _POINT_CHUNK_BUDGET, CubeAssignment, _row_chunks, _strong_kernel, cube_product
+from .supbrackets import Bracket, _grid_sup_rows
 from .systems import FiniteSystem, Observable
 
 _BRUTE_CASE_CAP = 1 << 20
@@ -406,25 +406,9 @@ def polyphase_mrec_sup(
     M = system.size
     check_budget(float(M) * oversample ** phase_degree * float(N) ** (phase_degree * (phase_degree + 1) // 2 + 1),
                  budget, "polyphase_mrec_sup")
-    lo = np.empty(M)
-    up = np.empty(M)
-    points, n = np.arange(M)[:, None], np.arange(1, N + 1)
-    (f0, a0), *rest = zip(functions, exponents.entries)
-    for x, seq in _row_chunks(M, N, _POINT_CHUNK_BUDGET):
-        np.take(f0.values, system.orbit_indices(points[x], a0, n), out=seq, mode="clip")  # one orbit per row
-        for f, a in rest:
-            seq *= f.values[system.orbit_indices(points[x], a, n)]
-        if phase_degree == 1:
-            lo[x], up[x], _ = _grid_sup_rows(seq, oversample)
-        else:
-            for i, row in enumerate(seq, x.start):
-                b = sup_polyphase(row, phase_degree, oversample, budget)
-                lo[i] = b.lower
-                up[i] = b.upper
-    w = system.weights
-    lo_n = math.sqrt(fsum((w * lo**2).tolist()))
-    up_n = math.sqrt(fsum((w * up**2).tolist()))
-    return Bracket(lo_n, max(up_n, lo_n), ())
+    lo, up = _strong_kernel(system, [(f.values, a) for f, a in zip(functions, exponents.entries)],
+                            phase_degree, N, oversample, 2)
+    return Bracket(lo, max(up, lo), ())
 
 
 # -- return times ------------------------------------------------------------
@@ -449,6 +433,16 @@ def companion_weights(systemY: FiniteSystem, g_list, steps, N: int) -> np.ndarra
     for g, b in zip(g_list, steps):
         W *= g.values[systemY.orbit_indices(slice(None), b, n)]  # one step table at a time
     return W
+
+
+def _orbit_scalars(system: FiniteSystem, functions, exponents: ExponentVector, x_point: int, N: int) -> np.ndarray:
+    """prod_j f_j(T^{a_j n} x) for n = 1..N along the orbit of one point x."""
+    scalars = np.ones(N, dtype=np.complex128)
+    for f, a in zip(functions, exponents.entries):
+        if len(f) != system.size:
+            raise ValueError("observable size does not match system")
+        scalars *= f.values[system.orbit_indices(x_point, a, np.arange(1, N + 1))]
+    return scalars
 
 
 def return_times_average(
@@ -476,12 +470,7 @@ def return_times_average(
     if N < 1:
         raise ValueError("N must be >= 1")
     check_budget(float(N) * (systemY.size + len(functions)), what="return_times_average")
-    # scalar factors along the X orbit
-    scalars = np.ones(N, dtype=np.complex128)
-    for f, a in zip(functions, exponents.entries):
-        if len(f) != systemX.size:
-            raise ValueError("observable size does not match base system")
-        scalars *= f.values[systemX.orbit_indices(x_point, a, np.arange(1, N + 1))]
+    scalars = _orbit_scalars(systemX, functions, exponents, x_point, N)
     acc = np.zeros(systemY.size, dtype=np.complex128)
     for n in range(1, N + 1):
         perm = systemY.power_indices(_poly_eval_int(poly_coeffs, n))

@@ -1,9 +1,9 @@
 """Certified brackets for suprema of modulated averages over phases.
 
-All three operations share one scheme: evaluate the target on a uniform
-phase grid anchored at t = 0 (the grid maximum is a rigorous lower bound,
-since the supremum is over a superset), then convert the grid maximum into
-a rigorous upper bound.
+Every supremum here is bracketed one way: evaluate the target on a
+uniform phase grid anchored at t = 0 (the grid maximum is a rigorous lower
+bound, since the supremum is over a superset), then convert the grid
+maximum into a rigorous upper bound.
 
 Grid evaluation
 ---------------
@@ -14,8 +14,8 @@ u_n e^{2 pi i n r / K}, whose 1/N normalisation is already the average; so
 each offset r costs one N-point transform and no zero padding.  One
 kernel, ``_grid_sup_rows``, does this for batches of rows in blocks that
 stay in cache, keeping per row the grid maximum and its first index in
-grid order; every strong average, the degree-2 polynomial phase search
-(one row per t_2 grid value) and the recurrence suprema go through it.
+grid order; every strong average, the polynomial-phase search below and
+the recurrence suprema go through it.
 
 Coarse to fine: the kernel transforms the base offsets r = 0 (mod s), s
 the largest power of two <= O / 4 (about a 4N-point grid), and then only
@@ -89,9 +89,17 @@ half spacing) and the triangle-inequality cap (mean absolute coefficient),
 so flat inputs get zero-width brackets.  At the default 16x oversampling
 the secant factor is below 1.005, i.e. bracket widths under half a percent.
 
-Multi-phase suprema iterate the same argument one coordinate at a time, so
-the certified factor is a product of per-coordinate secants (degree k <= 2;
-higher degrees return flagged lower bounds only).
+Polynomial phases
+-----------------
+``_polyphase_rows`` searches sup over (t_1..t_d) of |(1/N) sum u_n
+e^{2 pi i (t_1 n + ... + t_d n^d)}| for a batch of rows: each point of the
+outer grid t_j = m_j / (O N^j), j = 2..d, twists a row by
+e^{2 pi i sum_j t_j n^j}, and all twisted rows go through the kernel in
+chunks of _POLY_CHUNK entries, each row keeping its first maximum in nested
+grid order.  The secant argument holds one coordinate at a time, so degree
+2 is certified by the product of the two coordinates' secants (with the
+step bound and the cap); degree 3 and above return the grid maximum,
+flagged, with the cap as upper endpoint.
 """
 from __future__ import annotations
 
@@ -107,7 +115,7 @@ _MAX_CERTIFIED_DEGREE = 2
 _MIN_OVERSAMPLE = 4
 _GRID_BLOCK = 1 << 15  # complex entries per transform block (512 KiB)
 _SCREEN_MIN_N = 128  # shortest rows refined through the sixth-order screen (measured cut-over)
-_POLY_CHUNK = 1 << 18  # complex entries per chunk of twisted rows in sup_polyphase
+_POLY_CHUNK = 1 << 18  # complex entries per chunk of twisted rows in _polyphase_rows
 _TWIST_BYTES = 8 << 20  # capacity of the twist-table cache
 
 _twists = _Memo(_TWIST_BYTES)
@@ -413,14 +421,7 @@ def _grid_sup_rows(U: np.ndarray, oversample: int):
 
 def sup_modulated_average(u, oversample: int = 16, budget: float | None = None) -> Bracket:
     """Bracket for sup over t of |(1/N) sum_{n=1..N} u_n e^{2 pi i n t}|."""
-    oversample = _validate_oversample(oversample)
-    u = np.asarray(u, dtype=np.complex128)
-    if u.ndim != 1 or u.size == 0:
-        raise ValueError("sequence must be a nonempty 1-d array")
-    K = oversample * u.size
-    check_budget(K * max(1.0, math.log2(K)), budget, "sup_modulated_average")
-    lower, upper, arg = _grid_sup_rows(u[None, :], oversample)
-    return Bracket(float(lower[0]), float(upper[0]), (float(arg[0]),))
+    return sup_polyphase(u, 1, oversample, budget)
 
 
 def sup_norm_trig(coefficients, oversample: int = 16, budget: float | None = None) -> Bracket:
@@ -472,71 +473,54 @@ def sup_polyphase(u, degree: int, oversample: int = 16, budget: float | None = N
     N = u.size
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    cap = float(np.abs(u).sum() / N)
     if degree == 0:
         val = abs(fsum_complex((u / N).tolist()))
         return Bracket(val, val, ())
+    # log2 K_1 per grid point for the transforms, or N for the phase terms
+    # of an uncertified search where that is more
+    total = float(math.prod(oversample * N**j for j in range(1, degree + 1)))
+    uncertified = degree > _MAX_CERTIFIED_DEGREE
+    check_budget(total * max(1.0, math.log2(oversample * N), N if uncertified else 1), budget, "sup_polyphase")
+    lower, upper, hint = _polyphase_rows(u[None, :], degree, oversample)
+    return Bracket(float(lower[0]), float(upper[0]), tuple(map(float, hint[0])), not uncertified)
+
+
+def _polyphase_rows(U: np.ndarray, degree: int, oversample: int):
+    """(grid maxima, upper bounds, first maximising (t_1..t_d) in nested order)
+    of the polynomial-phase suprema of the rows of U, shape (rows, N); the
+    last has shape (rows, degree).  Degree 1 is ``_grid_sup_rows``."""
     if degree == 1:
-        lower, upper, arg = _grid_sup_rows(u[None, :], oversample)
-        return Bracket(float(lower[0]), float(upper[0]), (float(arg[0]),))
-    grids = [oversample * N**j for j in range(1, degree + 1)]
-    total = 1.0
-    for g in grids:
-        total *= g
-    check_budget(total * max(1.0, math.log2(grids[0])), budget, "sup_polyphase")
-    if degree == 2:
-        return _sup_polyphase_2(u, oversample, cap)
-    return _sup_polyphase_coarse(u, degree, oversample, cap, budget)
-
-
-def _sup_polyphase_2(u: np.ndarray, oversample: int, cap: float) -> Bracket:
-    N = u.size
-    K1, K2 = oversample * N, oversample * N * N
-    n = np.arange(1, N + 1)
-    lower = np.empty(K2)
-    arg = np.empty(K2)
-    chunk = max(1, _POLY_CHUNK // N)
-    for start in range(0, K2, chunk):
-        j2 = np.arange(start, min(start + chunk, K2))
-        # rows: u_n twisted by the quadratic phase at each t_2 grid value
-        twisted = u[None, :] * np.exp(2j * np.pi * np.outer(j2 / K2, n * n % K2))
-        lower[start : start + chunk], _, arg[start : start + chunk] = _grid_sup_rows(twisted, oversample)
-    best_j2 = int(np.argmax(lower))
-    best = float(lower[best_j2])
-    n1c, n2c = N // 2, (N * N) // 2
-    sec = _secant(n1c, K1) * _secant(n2c, K2)
-    absu = np.abs(u)
-    deriv1 = (2.0 * math.pi / N) * float((absu * n).sum())
-    deriv2 = (2.0 * math.pi / N) * float((absu * n * n).sum())
-    upper = min(best * sec, best + deriv1 / (2 * K1) + deriv2 / (2 * K2), cap)
-    upper = max(upper, best)
-    return Bracket(best, upper, (float(arg[best_j2]), best_j2 / K2))
-
-
-def _sup_polyphase_coarse(u: np.ndarray, degree: int, oversample: int, cap: float, budget) -> Bracket:
-    """Lower-bound-only search for degree >= 3 (not certified)."""
-    N = u.size
-    grids = [oversample * N**j for j in range(1, degree + 1)]
-    total = 1
-    for g in grids:
-        total *= g
-    check_budget(float(total) * N, budget, "sup_polyphase coarse search")
+        lower, upper, arg = _grid_sup_rows(U, oversample)
+        return lower, upper, arg[:, None]
+    rows, N = U.shape
+    grids = [oversample * N**j for j in range(2, degree + 1)]
+    G = math.prod(grids)
     n = np.arange(1, N + 1, dtype=float)
-    # the outer grids in plain nested order, innermost axis via FFT; the
-    # twisted rows go through the kernel in chunks, first maximum kept
-    outer_axes = [np.arange(g) / g for g in grids[1:]]
-    combos = np.stack([m.ravel() for m in np.meshgrid(*outer_axes, indexing="ij")], axis=1)
+    lower = np.full(rows, -1.0)
+    hint = np.empty((rows, degree))
     chunk = max(1, _POLY_CHUNK // N)
-    best = -1.0
-    best_t: tuple = ()
-    for start in range(0, combos.shape[0], chunk):
-        rows = combos[start : start + chunk]
-        phase = np.zeros((rows.shape[0], N))
-        for j in range(2, degree + 1):
-            phase = phase + rows[:, j - 2, None] * n**j
-        lower, _, arg = _grid_sup_rows(u[None, :] * np.exp(2j * np.pi * phase), oversample)
-        i = int(np.argmax(lower))
-        if float(lower[i]) > best:
-            best = float(lower[i])
-            best_t = (float(arg[i]), *map(float, rows[i]))
-    return Bracket(best, max(cap, best), best_t, certified=False)
+    for start in range(0, rows * G, chunk):
+        row, m = np.divmod(np.arange(start, min(start + chunk, rows * G)), G)
+        outer = [mj / g for mj, g in zip(np.unravel_index(m, grids), grids)]
+        phase = np.zeros((row.size, N))
+        for j, t in enumerate(outer, start=2):
+            phase = phase + t[:, None] * n**j
+        low, _, arg = _grid_sup_rows(U[row] * np.exp(2j * np.pi * phase), oversample)  # u first: the bits depend on it
+        # the chunk holds consecutive rows; each keeps its first maximum in
+        # the chunk if that beats the earlier chunks'
+        starts = np.r_[0, np.diff(row).nonzero()[0] + 1]
+        top = np.maximum.reduceat(low, starts)[row - row[0]]
+        first = np.minimum.reduceat(np.where(low == top, np.arange(row.size), row.size), starts)
+        first = first[low[first] > lower[row[first]]]
+        lower[row[first]] = low[first]
+        hint[row[first]] = np.column_stack([arg[first]] + [t[first] for t in outer])
+    absU = np.abs(U)
+    cap = absU.sum(axis=1) / N
+    if degree > _MAX_CERTIFIED_DEGREE:
+        return lower, np.maximum(cap, lower), hint
+    K1, K2 = oversample * N, grids[0]
+    sec = _secant(N // 2, K1) * _secant((N * N) // 2, K2)
+    deriv1 = (2.0 * math.pi / N) * (absU * n).sum(axis=1)
+    deriv2 = (2.0 * math.pi / N) * (absU * n * n).sum(axis=1)
+    upper = np.minimum(np.minimum(lower * sec, lower + deriv1 / (2 * K1) + deriv2 / (2 * K2)), cap)
+    return lower, np.maximum(upper, lower), hint

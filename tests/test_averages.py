@@ -214,7 +214,7 @@ def test_l1_norm_bounded_by_l2():
 
 def test_norm_p_is_checked_before_any_kernel_call(monkeypatch):
     calls = []
-    monkeypatch.setattr(averages, "_grid_sup_rows", lambda *a: calls.append(a))
+    monkeypatch.setattr(averages, "_polyphase_rows", lambda *a: calls.append(a))
     monkeypatch.setattr(averages, "cube_product", lambda *a: calls.append(a))
     system = random_permutation(64, 0)
     f = random_mean_zero(system, 0)

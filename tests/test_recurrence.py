@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wwlab import recurrence
+from wwlab import averages, recurrence, supbrackets
 from wwlab._util import BudgetExceeded, fsum
 from wwlab.averages import CubeAssignment, cube_product
 from wwlab.recurrence import (
@@ -553,7 +553,7 @@ def _weighted_norm(system, values):
 def test_polyphase_chunks_match_whole_array(monkeypatch, chunk):
     # at N = 24, chunks of 5 points split 37 unevenly and 24 entries hold one point
     if chunk is not None:
-        monkeypatch.setattr(recurrence, "_POINT_CHUNK_BUDGET", chunk)
+        monkeypatch.setattr(averages, "_POINT_CHUNK_BUDGET", chunk)
     system = random_permutation(37, 2)
     fs = [random_mean_zero(system, 1), random_mean_zero(system, 2)]
     exps = ExponentVector((1, 2))
@@ -566,6 +566,24 @@ def test_polyphase_chunks_match_whole_array(monkeypatch, chunk):
     lo = np.array([b.lower for b in brs])
     up = np.array([b.upper for b in brs])
     br = polyphase_mrec_sup(system, fs, exps, 2, 5)
+    assert (br.lower, br.upper) == (_weighted_norm(system, lo), max(_weighted_norm(system, up), br.lower))
+
+
+@pytest.mark.parametrize("degree, N, oversample", [(2, 3, 16), (3, 3, 4)])
+@pytest.mark.parametrize("points_per_chunk", [2.5, 1 / 3])
+def test_polyphase_twist_chunks_match_per_point_search(monkeypatch, degree, N, oversample, points_per_chunk):
+    # chunks of 2.5 points' outer grids hold several points and split some
+    # between two chunks; chunks of a third of one split every point's grid
+    system = random_permutation(11, 4)
+    fs = [random_mean_zero(system, 1), random_mean_zero(system, 2)]
+    exps = ExponentVector((1, 2))
+    outer = math.prod(oversample * N**j for j in range(2, degree + 1))
+    monkeypatch.setattr(supbrackets, "_POLY_CHUNK", int(points_per_chunk * outer) * N)
+    brs = [sup_polyphase(row, degree, oversample)
+           for row in _whole_orbit_products(system, [f.values for f in fs], exps.entries, N)]
+    lo = np.array([b.lower for b in brs])
+    up = np.array([b.upper for b in brs])
+    br = polyphase_mrec_sup(system, fs, exps, degree, N, oversample)
     assert (br.lower, br.upper) == (_weighted_norm(system, lo), max(_weighted_norm(system, up), br.lower))
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wwlab._util import BudgetExceeded
 from wwlab.averages import ww_average
 from wwlab import supbrackets
 from wwlab.supbrackets import (
@@ -99,6 +100,19 @@ def test_polyphase_degree_one_matches_linear_sup():
     deg1 = sup_polyphase(u, 1)
     assert deg1.lower <= lin.upper + 1e-12
     assert lin.lower <= deg1.upper + 1e-12
+
+
+@pytest.mark.parametrize("N", [1, 2, 12, 130])
+def test_modulated_average_is_degree_one_polyphase(N):
+    rng = np.random.default_rng(N)
+    u = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    lin, deg1 = sup_modulated_average(u), sup_polyphase(u, 1)
+    assert (lin.lower, lin.upper, lin.argmax_hint) == (deg1.lower, deg1.upper, deg1.argmax_hint)
+
+
+def test_degree_one_polyphase_checks_the_budget():
+    with pytest.raises(BudgetExceeded):
+        sup_polyphase(np.ones(4096), 1, budget=1.0)
 
 
 def test_polyphase_degree_two_dominates_degree_one():
