@@ -10,7 +10,8 @@ Compare two saved runs with ``pytest-benchmark compare``.
 import numpy as np
 
 from wwlab.averages import _POINT_CHUNK_BUDGET, _row_chunks
-from wwlab.systems import identity_system, random_permutation
+from wwlab.recurrence import ExponentVector, multiple_recurrence_average
+from wwlab.systems import identity_system, random_mean_zero, random_permutation
 
 
 def test_power_indices_fresh_identity(benchmark):
@@ -32,8 +33,17 @@ def test_strong_kernel_chunk_gather(benchmark):
 
     def gather_all():
         for x, seq in _row_chunks(system.size, N, _POINT_CHUNK_BUDGET):
-            np.take(values, system.orbit_indices(points[x], 1, n), out=seq, mode="clip")
+            system.orbit_product([(values, 1)], points[x], n, out=seq)
         return seq
 
     seq = benchmark.pedantic(gather_all, rounds=10, warmup_rounds=1)
     assert seq.shape == (_POINT_CHUNK_BUDGET // N, N) and seq.flags.c_contiguous
+
+
+def test_multiple_recurrence_average_streamed(benchmark):
+    # two observables at N = 1024, gathered and summed one chunk of counts at a time
+    system = random_permutation(8192, 1)
+    fs = [random_mean_zero(system, 1), random_mean_zero(system, 2)]
+    value = benchmark.pedantic(multiple_recurrence_average, args=(system, fs, ExponentVector((1, 2)), 1024),
+                               rounds=5, warmup_rounds=1)
+    assert 0.0 < value < 1.0

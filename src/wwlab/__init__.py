@@ -41,7 +41,6 @@ from .systems import (
 from .supbrackets import Bracket, sup_modulated_average, sup_norm_trig, sup_polyphase
 from .averages import (
     CubeAssignment,
-    CubeVertex,
     ScheduleR,
     off_diagonal_average,
     weak_ww_average,

@@ -33,6 +33,7 @@ from ._util import check_budget, fsum, fsum_complex
 from .averages import (
     CubeAssignment,
     ScheduleR,
+    _average_cost,
     _average_pipeline,
     _weak_kernel,
     off_diagonal_average,
@@ -47,6 +48,7 @@ from .recurrence import (
     _orbit_scalars,
     companion_weights,
     intermediate_F,
+    multiple_recurrence_average,
     polyphase_mrec_sup,
     uniform_mrec_bracket,
 )
@@ -56,7 +58,6 @@ from .systems import (
     Observable,
     conditional_expectation,
     cyclic_shift,
-    integrate,
     product_system,
     random_mean_zero,
     spectral_coefficient,
@@ -418,7 +419,8 @@ def _check_vdc(sequence=None, H_values=None, seed: int = 0, length: int = 32):
         yield _row(H, lhs, rhs, f"H={H}")
 
 
-def _check_vdc_sup(sequence=None, H_values=None, seed: int = 0, length: int = 32, oversample: int = 16):
+def _check_vdc_sup(sequence=None, H_values=None, seed: int = 0, length: int = 32, oversample: int = 16,
+                   budget=None):
     """Uniform-modulation version of the averaging bound.
 
     The left side is the certified upper endpoint of the supremum bracket for
@@ -430,7 +432,7 @@ def _check_vdc_sup(sequence=None, H_values=None, seed: int = 0, length: int = 32
     N = len(u)
     if N < 2:
         raise ValueError("sequence must have length >= 2")
-    bracket = sup_modulated_average(u, oversample)
+    bracket = sup_modulated_average(u, oversample, budget)
     corr = _autocorr(u)
     energy = fsum((np.abs(u) ** 2).tolist())
     for H in H_values if H_values is not None else range(1, N):
@@ -441,15 +443,11 @@ def _check_vdc_sup(sequence=None, H_values=None, seed: int = 0, length: int = 32
         yield _row(H, bracket.upper**2, rhs, f"H={H}", lhs_far=bracket.lower**2)
 
 
-def _check_vdc_systems(system=None, f=None, N_values=(8, 16, 32), seed: int = 0):
+def _check_vdc_systems(system=None, f=None, N_values=(8, 16, 32), seed: int = 0, budget=None):
     """Mean-square ergodic average against one-sided spectral correlations."""
     system, f = _scene(system, seed, f)
     for N in N_values:
-        acc = np.zeros(system.size, dtype=np.complex128)
-        for n in range(1, N + 1):
-            acc += f.values[system.power_indices(n)]
-        acc /= N
-        lhs = integrate(system, Observable(acc), p=2) ** 2
+        lhs = multiple_recurrence_average(system, [f], ExponentVector((1,)), N, budget=budget) ** 2
         rhs = (2.0 / N) * fsum(
             ((N - n) / N * spectral_coefficient(system, f, n).real for n in range(N))
         )
@@ -641,7 +639,8 @@ def _check_weak_strong(
         yield _row(N, strong.upper, rhs, "explicit" if narrow else "explicit-wide", lhs_far=strong.lower)
 
 
-def _check_spectral_weak(system=None, f=None, N_values=(16, 32), oversample: int = 16, seed: int = 0):
+def _check_spectral_weak(system=None, f=None, N_values=(16, 32), oversample: int = 16, seed: int = 0,
+                         budget=None):
     """Mean square of correlation coefficients against the weak supremum.
 
     Needs sup|f| <= 1; the right side is the raw supremum of the L2 norm
@@ -654,6 +653,7 @@ def _check_spectral_weak(system=None, f=None, N_values=(16, 32), oversample: int
     for N in N_values:
         coeffs = [spectral_coefficient(system, f, n) for n in range(N)]
         lhs = fsum(abs(c) ** 2 for c in coeffs) / N
+        check_budget(_average_cost(1, system.size, N, oversample), budget, "spectral_weak")
         lo, up = _weak_kernel(system, np.asarray(f.values, dtype=np.complex128), N, oversample)
         yield _row(N, lhs, lo, rhs_far=up)
 
@@ -1006,6 +1006,7 @@ def hilbert_partial_sums(
     N_max: int,
     weights=None,
     label: str = "hilbert",
+    budget=None,
 ) -> HilbertSums:
     """All partial sums of the weighted one-sided transform at a base point.
 
@@ -1022,7 +1023,7 @@ def hilbert_partial_sums(
         raise ValueError("need one observable per exponent")
     if N_max < 1:
         raise ValueError("N_max must be >= 1")
-    check_budget(float(N_max) * (system.size + 2), what="hilbert_partial_sums")
+    check_budget(float(N_max) * (system.size + 2), budget, "hilbert_partial_sums")
     scalars = _orbit_scalars(system, functions, exponents, x_point, N_max)
     if weights is None:
         w = np.ones(N_max, dtype=np.complex128)

@@ -32,50 +32,6 @@ from .systems import FiniteSystem, Observable
 _POINT_CHUNK_BUDGET = 1 << 18  # complex entries gathered per point chunk (4 MiB)
 
 
-@dataclass(frozen=True)
-class CubeVertex:
-    """Vertex of the discrete cube {0,1}^r."""
-
-    bits: tuple
-
-    def __post_init__(self):
-        bits = tuple(int(b) for b in self.bits)
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError("vertex bits must be 0 or 1")
-        object.__setattr__(self, "bits", bits)
-
-    @property
-    def order(self) -> int:
-        return len(self.bits)
-
-    @property
-    def weight(self) -> int:
-        return sum(self.bits)
-
-    def dot(self, h) -> int:
-        if len(h) != len(self.bits):
-            raise ValueError("shift tuple length mismatch")
-        return int(sum(b * int(x) for b, x in zip(self.bits, h)))
-
-    def flip_outside(self, zeta) -> "CubeVertex":
-        """Flip the bits at coordinates where zeta is 0 (an involution)."""
-        if len(zeta) != len(self.bits):
-            raise ValueError("zeta length mismatch")
-        return CubeVertex(tuple(b if z else 1 - b for b, z in zip(self.bits, zeta)))
-
-    def intersect(self, other: "CubeVertex") -> "CubeVertex":
-        if other.order != self.order:
-            raise ValueError("vertex order mismatch")
-        return CubeVertex(tuple(a & b for a, b in zip(self.bits, other.bits)))
-
-
-def cube_vertices(order: int):
-    """All vertices of {0,1}^order in lexicographic order."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    return [CubeVertex(bits) for bits in itertools.product((0, 1), repeat=order)]
-
-
 class CubeAssignment:
     """Observables attached to the vertices of {0,1}^r.
 
@@ -184,17 +140,12 @@ def cube_product(system: FiniteSystem, assignment: CubeAssignment, h) -> Observa
     h = tuple(int(x) for x in h)
     if len(h) != assignment.order:
         raise ValueError("shift tuple length must equal the assignment order")
-    vals = np.ones(system.size, dtype=np.complex128)
-    for bits in itertools.product((0, 1), repeat=assignment.order):
-        g = assignment.vertex(bits)
-        if len(g) != system.size:
-            raise ValueError("assignment observables do not match the system size")
-        shift = sum(b * x for b, x in zip(bits, h))
-        gv = g.values[system.power_indices(shift)]
-        if sum(bits) % 2 == 1:
-            gv = np.conjugate(gv)
-        vals = vals * gv
-    return Observable(vals)
+    if any(len(g) != system.size for g in assignment.mapping.values()):
+        raise ValueError("assignment observables do not match the system size")
+    # vertex eta reads C^{|eta|} g_eta at T^{eta . h} x: an orbit step at n = 1
+    factors = [(np.conjugate(g.values) if sum(bits) % 2 else g.values, sum(b * x for b, x in zip(bits, h)))
+               for bits, g in sorted(assignment.mapping.items())]
+    return Observable(system.orbit_product(factors, slice(None), 1))
 
 
 def _row_chunks(rows: int, cols: int, budget: int):
@@ -220,11 +171,8 @@ def _strong_kernel(system: FiniteSystem, factors, degree: int, N: int, oversampl
     points, n = np.arange(system.size)[:, None], np.arange(1, N + 1)
     lows = np.empty(system.size)
     ups = np.empty(system.size)
-    (v0, a0), *rest = factors
     for x, seq in _row_chunks(system.size, N, _POINT_CHUNK_BUDGET):
-        np.take(v0, system.orbit_indices(points[x], a0, n), out=seq, mode="clip")  # one orbit per row
-        for v, a in rest:
-            seq *= v[system.orbit_indices(points[x], a, n)]
+        system.orbit_product(factors, points[x], n, out=seq)  # one orbit per row
         lows[x], ups[x], _ = _polyphase_rows(seq, degree, oversample)
     w = system.weights
     if norm_p == 2:
@@ -242,8 +190,7 @@ def _weak_kernel(system: FiniteSystem, values: np.ndarray, N: int, oversample: i
     conj, w = np.conjugate(values)[None, :], system.weights[None, :]
     rho = np.empty(N, dtype=np.complex128)
     for d, shifted in _row_chunks(N, system.size, _POINT_CHUNK_BUDGET):
-        np.take(values, system.orbit_indices(slice(None), 1, np.arange(d.start, d.stop)[:, None]),
-                out=shifted, mode="clip")
+        system.orbit_product([(values, 1)], slice(None), np.arange(d.start, d.stop)[:, None], out=shifted)
         shifted *= conj  # in place, as shifted * conj * w
         shifted *= w
         rho[d] = shifted.sum(axis=1)  # each rho[d] is its own row's sum
@@ -260,6 +207,10 @@ def _weak_kernel(system: FiniteSystem, values: np.ndarray, N: int, oversample: i
     return lower, upper
 
 
+def _average_cost(tuples: int, size: int, N: int, oversample: int) -> float:  # budget estimate of a cube average
+    return tuples * size * (N * math.log2(max(oversample * N, 2)) * oversample + N)
+
+
 def _average_pipeline(
     system: FiniteSystem,
     assignment: CubeAssignment,
@@ -274,8 +225,7 @@ def _average_pipeline(
     if norm_p not in (1, 2):
         raise ValueError("norm_p must be 1 or 2")
     tuples = list(itertools.product(*(range(1, r + 1) for r in ranges)))
-    est = len(tuples) * system.size * (N * math.log2(max(oversample * N, 2)) * oversample + N)
-    check_budget(est, budget, "cube average")
+    check_budget(_average_cost(len(tuples), system.size, N, oversample), budget, "cube average")
     vertices = [assignment.mapping[bits] for bits in sorted(assignment.mapping)]
     key = content_key(system, vertices, "cube average", N, tuple(ranges), oversample, kernel, norm_p, threads)
     hit = memo.get(key)
@@ -402,11 +352,11 @@ def zeta_transformed_assignment(
     R = max(1, math.isqrt(N))
     mapping = {}
     for bits in itertools.product((0, 1), repeat=assignment.order):
-        src = CubeVertex(bits).flip_outside(zeta)
-        g = assignment.vertex(src.bits)
+        src = tuple(b if z else 1 - b for b, z in zip(bits, zeta))  # the bit flip outside zeta
+        g = assignment.vertex(src)
         shift = (R + 1) * sum(1 for b, z in zip(bits, zeta) if z == 0 and b == 0)
         vals = g.values[system.power_indices(shift)]
-        if (src.weight - sum(bits)) % 2 == 1:
+        if (sum(src) - sum(bits)) % 2 == 1:
             vals = np.conjugate(vals)
         mapping[bits] = Observable(vals)
     return CubeAssignment(mapping)

@@ -366,7 +366,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1, budget=None) -> R
             poly = [int(c) for c in config.extra.get("poly", [0, 1])]
             for N in config.schedule:
                 obs = return_times_average(sys_y, g, poly, system, functions, exponents,
-                                           config.x_point, N)
+                                           config.x_point, N, budget)
                 norm = integrate(sys_y, obs, p=2)
                 rows.append({"N": N, "lower": norm, "upper": norm})
             summary["x_point"] = config.x_point
@@ -383,7 +383,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1, budget=None) -> R
                 weights = ReturnTimesWeights(sys_y, int(rw.get("y_point", 0)), (g,),
                                              tuple(rw.get("steps", (1,))))
             sums = hilbert_partial_sums(system, config.x_point, functions, exponents,
-                                        config.sigma, config.schedule[-1], weights)
+                                        config.sigma, config.schedule[-1], weights, budget=budget)
             wanted = set(config.schedule)
             for N, value in sums.entries:
                 if N in wanted:
@@ -399,13 +399,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 1, budget=None) -> R
         H_max = int(config.extra.get("H_max", 5))
         q_max = int(config.extra.get("q_max", 15))
         mismatches = 0
-        for entry in level_sweep(k_values, H_max, q_max):
-            row = dict(entry)
-            row["H"] = "x".join(str(h) for h in entry["H"]) if isinstance(entry["H"], tuple) else entry["H"]
-            row["slack"] = float(entry["slack"])
-            row["bound_lhs"] = float(entry["bound_lhs"])
-            row["bound_rhs"] = float(entry["bound_rhs"])
-            if entry["exact"] != entry["brute"] or entry["slack"] < 0:
+        for row in level_sweep(k_values, H_max, q_max):
+            if row["exact"] != row["brute"] or row["slack"] < 0:
                 mismatches += 1
             rows.append(row)
         summary = {"rows": len(rows), "mismatches": mismatches, "verdict": mismatches == 0}
@@ -655,13 +650,8 @@ def _config_from_args(args) -> ExperimentConfig:
         return ExperimentConfig.from_dict(data)
     op = args.op
     check_name = None
-    if op and op.startswith("check"):
-        sep = ":" if ":" in op else ("(" if "(" in op else None)
-        if sep == ":":
-            check_name = op.split(":", 1)[1]
-        elif sep == "(":
-            check_name = op[op.index("(") + 1 : op.rindex(")")]
-        op = "check"
+    if op and op.startswith("check:"):
+        op, check_name = op.split(":", 1)
     if not op:
         raise ConfigError("either --config or --op is required")
     extra = {}

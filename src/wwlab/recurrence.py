@@ -119,6 +119,7 @@ def multiple_recurrence_average(
     exponents: ExponentVector,
     N: int,
     norm_p: int = 2,
+    budget=None,
 ):
     """|| (1/N) sum_n prod_j f_j o T^{a_j n} ||_p for given observables."""
     if norm_p not in (1, 2):
@@ -130,10 +131,13 @@ def multiple_recurrence_average(
     for f in functions:
         if len(f) != system.size:
             raise ValueError("observable size does not match system")
-    check_budget(float(N) * system.size * len(functions), what="multiple_recurrence_average")
+    check_budget(float(N) * system.size * len(functions), budget, "multiple_recurrence_average")
+    factors = [(f.values, a) for f, a in zip(functions, exponents.entries)]
     acc = np.zeros(system.size, dtype=np.complex128)
-    for term in companion_weights(system, functions, exponents.entries, N):  # in order of n, not pairwise
-        acc += term
+    for n, terms in _row_chunks(N, system.size, _POINT_CHUNK_BUDGET):  # one chunk of counts n at a time
+        system.orbit_product(factors, slice(None), np.arange(n.start + 1, n.stop + 1)[:, None], out=terms)
+        for term in terms:  # in order of n, not pairwise
+            acc += term
     avg = acc / N
     w = system.weights
     if norm_p == 2:
@@ -428,21 +432,16 @@ def companion_weights(systemY: FiniteSystem, g_list, steps, N: int) -> np.ndarra
         raise ValueError("need one companion observable per step")
     if any(len(g) != systemY.size for g in g_list):
         raise ValueError("companion size does not match system")
-    W = np.ones((N, systemY.size), dtype=np.complex128)
-    n = np.arange(1, N + 1)[:, None]
-    for g, b in zip(g_list, steps):
-        W *= g.values[systemY.orbit_indices(slice(None), b, n)]  # one step table at a time
-    return W
+    return systemY.orbit_product([(g.values, b) for g, b in zip(g_list, steps)], slice(None),
+                                 np.arange(1, N + 1)[:, None])
 
 
 def _orbit_scalars(system: FiniteSystem, functions, exponents: ExponentVector, x_point: int, N: int) -> np.ndarray:
     """prod_j f_j(T^{a_j n} x) for n = 1..N along the orbit of one point x."""
-    scalars = np.ones(N, dtype=np.complex128)
-    for f, a in zip(functions, exponents.entries):
-        if len(f) != system.size:
-            raise ValueError("observable size does not match system")
-        scalars *= f.values[system.orbit_indices(x_point, a, np.arange(1, N + 1))]
-    return scalars
+    if any(len(f) != system.size for f in functions):
+        raise ValueError("observable size does not match system")
+    return system.orbit_product([(f.values, a) for f, a in zip(functions, exponents.entries)], x_point,
+                                np.arange(1, N + 1))
 
 
 def return_times_average(
@@ -454,6 +453,7 @@ def return_times_average(
     exponents: ExponentVector,
     x_point: int,
     N: int,
+    budget=None,
 ) -> Observable:
     """Observable y -> (1/N) sum_n g(S^{P(n)} y) prod_j f_j(T^{a_j n} x).
 
@@ -469,7 +469,7 @@ def return_times_average(
         raise ValueError("need one observable per exponent")
     if N < 1:
         raise ValueError("N must be >= 1")
-    check_budget(float(N) * (systemY.size + len(functions)), what="return_times_average")
+    check_budget(float(N) * (systemY.size + len(functions)), budget, "return_times_average")
     scalars = _orbit_scalars(systemX, functions, exponents, x_point, N)
     acc = np.zeros(systemY.size, dtype=np.complex128)
     for n in range(1, N + 1):

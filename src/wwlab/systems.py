@@ -26,9 +26,14 @@ Orbits are read from cycle coordinates: ``flat`` lists the cycles, each
 from its smallest point and in the order of those points, and a point x has
 the ``start`` of its cycle there, its position ``pos`` on it and the cycle
 ``length``, so T^{a n} x = flat[start + (pos + a n) mod length].  Every
-orbit reader (averaging kernels, recurrence step tables, Hilbert sums,
-return times, ``power_indices``, ``iterate``) gathers through
-``FiniteSystem.orbit_indices`` for the points and counts it needs.
+orbit reader gathers through ``FiniteSystem.orbit_indices``, and every
+product of observables along orbits, prod_j v_j(T^{a_j n} x), that is
+gathered afresh goes through ``FiniteSystem.orbit_product`` (a cube shift is
+a step at n = 1).  Four readers keep their own: ``ReturnTimesWeights.sequence``
+multiplies Python scalars, since numpy's complex product fuses multiply-adds
+on some CPUs and rounds differently; the recurrence slab fill, its brute-force
+enumeration and ``intermediate_F`` reuse index tables built once across
+fills, sign combinations and shift tuples.
 """
 from __future__ import annotations
 
@@ -164,6 +169,19 @@ class FiniteSystem:
         q += self._cycle_start[points]
         # gathered in place: each entry is read before it is overwritten
         return np.take(self._cycle_flat, q, out=q, mode="clip")
+
+    def orbit_product(self, factors, points, n, out=None) -> np.ndarray:
+        """prod_j v_j(T^{a_j n} x) over the (values v_j, step a_j) pairs of ``factors``.
+
+        ``points`` and ``n`` broadcast as in :meth:`orbit_indices`.  The first
+        factor is gathered straight into ``out`` when one is given, and each
+        later one is multiplied in order into the running product.
+        """
+        (v0, a0), *rest = factors
+        out = np.take(v0, self.orbit_indices(points, a0, n), out=out, mode="clip")
+        for v, a in rest:
+            out *= v[self.orbit_indices(points, a, n)]
+        return out
 
     def power_indices(self, n: int) -> np.ndarray:
         """Index array of T^n, valid for any integer ``n`` (Python ints ok)."""
@@ -360,8 +378,7 @@ def shift_observable(system: FiniteSystem, f: Observable, a: int) -> Observable:
     """f composed with T^a, i.e. x -> f(T^a x)."""
     if len(f) != system.size:
         raise ValueError("observable size does not match system")
-    idx = system.power_indices(a)
-    return Observable(f.values[idx])
+    return Observable(system.orbit_product([(f.values, a)], slice(None), 1))
 
 
 def integrate(system: FiniteSystem, f: Observable, p=None):

@@ -1,5 +1,6 @@
 """Strong/weak cube averages, schedules, and vertex assignments."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -13,9 +14,8 @@ from wwlab._util import BudgetExceeded, clear_memo, memo
 from wwlab.averages import (
     _weak_kernel,
     CubeAssignment,
-    CubeVertex,
     ScheduleR,
-    cube_vertices,
+    cube_product,
     off_diagonal_average,
     schedule_cap,
     weak_ww_average,
@@ -30,6 +30,7 @@ from wwlab.systems import (
     constant_observable,
     cyclic_shift,
     identity_system,
+    product_system,
     random_mean_zero,
     random_permutation,
 )
@@ -38,27 +39,32 @@ from wwlab.systems import (
 # -- cube combinatorics -------------------------------------------------------
 
 
-def test_cube_vertex_basics():
-    v = CubeVertex((1, 0, 1))
-    assert v.order == 3
-    assert v.weight == 2
-    assert v.dot((2, 3, 5)) == 7
-    assert v.flip_outside((0, 1, 0)).bits == (0, 0, 0)
-    assert v.intersect(CubeVertex((1, 1, 0))).bits == (1, 0, 0)
-
-
-def test_cube_vertices_enumeration():
-    vs = list(cube_vertices(2))
-    assert len(vs) == 4
-    assert {v.bits for v in vs} == {(0, 0), (0, 1), (1, 0), (1, 1)}
-
-
 def test_diagonal_assignment():
     f = Observable(np.array([1.0, 2.0, -1.0]))
     asg = CubeAssignment.diagonal(f, 2)
     assert asg.order == 2
     assert np.array_equal(asg.vertex((0, 1)).values, f.values)
     assert asg.max_sup_norm() == 2.0
+
+
+def _cube_product_loop(system, assignment, h):
+    """The cube product vertex by vertex: ones, times each gathered vertex, odd ones conjugated."""
+    vals = np.ones(system.size, dtype=np.complex128)
+    for bits in itertools.product((0, 1), repeat=assignment.order):
+        gv = assignment.vertex(bits).values[system.power_indices(sum(b * x for b, x in zip(bits, h)))]
+        vals = vals * (np.conjugate(gv) if sum(bits) % 2 else gv)
+    return vals
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_cube_product_matches_a_vertex_loop(order):
+    # five cycles of lengths 6, 6, 3, 3, 3, and an observable of its own at every vertex
+    system = product_system(cyclic_shift(3), random_permutation(7, 2))
+    vertices = list(itertools.product((0, 1), repeat=order))
+    assignment = CubeAssignment({bits: random_mean_zero(system, i) for i, bits in enumerate(vertices)})
+    for h in [(1, 2, 3), (-4, 7, 0), (2**62 + 1, 5, -(2**40))]:
+        got = cube_product(system, assignment, h[:order]).values
+        assert got.tobytes() == _cube_product_loop(system, assignment, h[:order]).tobytes()
 
 
 def test_assignment_rejects_partial_mapping():

@@ -217,6 +217,19 @@ def test_check_budget_reaches_the_maximal_check(tmp_path, capsys):
     assert "budget refusal" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--op", "ww", "--system", "cyclic:89", "--k", "1", "--N", "64"],
+    ["--op", "hilbert", "--system", "cyclic:89", "--f", "random:4", "--sigma", "0.9", "--x", "3", "--N", "64,512"],
+    ["--op", "return_times", "--system", "cyclic:89", "--system-b", "cyclic:31", "--N", "64"],
+    ["--op", "check:spectral_weak", "--system", "cyclic:89", "--N", "64"],
+    ["--op", "check:vdc_sup"],
+    ["--op", "check:vdc_systems"],
+])
+def test_budget_reaches_every_op(tmp_path, capsys, argv):
+    assert main(["run", *argv, "--budget", "1", "--no-cache", "--out", str(tmp_path)]) == 2
+    assert "budget refusal" in capsys.readouterr().err
+
+
 def test_record_content_ignores_wall_time():
     cfg = ExperimentConfig(
         op="ww",

@@ -24,6 +24,7 @@ from wwlab.recurrence import (
 )
 from wwlab.supbrackets import _grid_sup_rows, sup_modulated_average, sup_polyphase
 from wwlab.systems import (
+    FiniteSystem,
     character_observable,
     constant_observable,
     cyclic_shift,
@@ -72,11 +73,30 @@ def test_multiple_recurrence_validation():
 
 def test_multiple_recurrence_checks_norm_p_before_the_loop(monkeypatch):
     calls = []
-    monkeypatch.setattr(recurrence, "companion_weights", lambda *a: calls.append(a) or iter(()))
+    monkeypatch.setattr(FiniteSystem, "orbit_product", lambda *a, **kw: calls.append(a))
     system = cyclic_shift(5)
     with pytest.raises(ValueError, match="norm_p"):
         multiple_recurrence_average(system, [constant_observable(system)], ExponentVector((1,)), 4, norm_p=3)
     assert calls == []
+
+
+@pytest.mark.parametrize("chunk", [5 * 37, 36])
+def test_multiple_recurrence_chunks_match_one_chunk(monkeypatch, chunk):
+    # at N = 24 on 37 points, chunks of 5 counts split 24 unevenly; under 37 entries a chunk holds one count
+    system = random_permutation(37, 2)
+    fs = [random_mean_zero(system, 1), random_mean_zero(system, 2)]
+    exps = ExponentVector((1, -3))
+    whole = [multiple_recurrence_average(system, fs, exps, 24, p) for p in (1, 2)]
+    monkeypatch.setattr(recurrence, "_POINT_CHUNK_BUDGET", chunk)
+    assert [multiple_recurrence_average(system, fs, exps, 24, p) for p in (1, 2)] == whole
+
+
+def test_multiple_recurrence_streams_count_chunks():
+    # no (N, M) product table: 320 MiB with the whole table of 1024 x 8192 products,
+    # about 10.4 MiB with one chunk, its index table and one gathered factor
+    system = random_permutation(8192, 1)
+    fs = [random_mean_zero(system, 1), random_mean_zero(system, 2)]
+    assert _peak_bytes(multiple_recurrence_average, system, fs, ExponentVector((1, 2)), 1024) < 16 * 2**20
 
 
 def test_companion_weights_unit():

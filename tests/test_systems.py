@@ -144,6 +144,18 @@ def test_orbit_indices_follow_the_forward_map(system, a, data):
         assert table[y].tolist() == [walk[(a * int(m)) % len(walk)] for m in span]
     # all points against a column of counts: row n is T^{a n}
     assert np.array_equal(system.orbit_indices(slice(None), a, span[:, None]), table.T)
+    # orbit_product reads the same orbits: v at step a, times u at step -1
+    walks = [_walk_orbit(system, int(y)) for y in points]
+    back = np.array([[walk[-int(m) % len(walk)] for m in span] for walk in walks])
+    v, u = np.exp(1j * points), points + 1.0 - 2j
+    factors = [(v, a), (u, -1)]
+    expected = v[table] * u[back]
+    assert np.array_equal(system.orbit_product(factors, points[:, None], span), expected)
+    assert np.array_equal(system.orbit_product(factors, slice(None), span[:, None]), expected.T)
+    assert np.array_equal(system.orbit_product(factors, x, span), expected[x])
+    out = np.empty_like(expected)
+    assert system.orbit_product(factors, points[:, None], span, out=out) is out
+    assert np.array_equal(out, expected)
 
 
 @settings(max_examples=120, deadline=None)
