@@ -67,13 +67,6 @@ def fsum_complex(values: Iterable[complex]) -> complex:
     return complex(math.fsum(v.real for v in vals), math.fsum(v.imag for v in vals))
 
 
-def fmean(values: Iterable[float]) -> float:
-    vals = list(values)
-    if not vals:
-        raise ValueError("mean of empty sequence")
-    return math.fsum(vals) / len(vals)
-
-
 def pmap(fn: Callable, items: Sequence, threads: int = 1) -> list:
     """Map ``fn`` over ``items`` preserving input order.
 

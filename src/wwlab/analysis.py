@@ -98,7 +98,6 @@ class SeriesReport:
 
     label: str
     entries: list
-    provenance: str = ""
 
     def __post_init__(self):
         prev = 0
@@ -117,10 +116,6 @@ class SeriesReport:
     @property
     def values(self) -> np.ndarray:
         return np.array([e[1] for e in self.entries], dtype=np.float64)
-
-    def window(self, lo: int, hi: int) -> "SeriesReport":
-        kept = [e for e in self.entries if lo <= e[0] <= hi]
-        return SeriesReport(self.label, kept, self.provenance)
 
 
 @dataclass(frozen=True)
@@ -176,12 +171,12 @@ class InequalityCheck:
     tolerance: float = 0.0
     notes: str = ""
 
-    def stable(self, rel: float = 1e-9) -> bool:
-        """True when the largest c_N sits at the smallest length."""
+    def stable(self) -> bool:
+        """True when the largest c_N sits at the smallest length (to a relative 1e-9)."""
         rows = sorted(self.rows, key=lambda r: r.N)
         if not rows:
             return False
-        return rows[0].c_N >= self.c_max * (1.0 - rel)
+        return rows[0].c_N >= self.c_max * (1.0 - 1e-9)
 
 
 def _ratio(lhs: float, rhs: float) -> float:
@@ -260,62 +255,44 @@ def decay_fit(series, window=None) -> DecayFit:
 
 
 _GRID_12 = tuple(i / 12.0 for i in range(1, 13))
+_PRECSIM_CAP = 1e6  # largest fitted constant a domination witness may have
+_PRECSIM_SLOPE_TOL = 1e-3  # largest log-log slope of the ratio at the window end
 
 
-def precsim_fit(
-    f_series,
-    g_series,
-    window=None,
-    grid=None,
-    cap: float = 1e6,
-    slope_tol: float = 1e-3,
-):
+def precsim_fit(f_series, g_series):
     """Search for a domination witness f(N) <= C (N^-alpha + g(phi(N))^gamma).
 
     phi is the smallest-integer power map phi(N) = ceil(N^beta) (beta = 1 is
-    the identity), with (alpha, beta, gamma) ranging over ``grid`` (default
-    i/12 for i = 1..12 in each slot).  A triple is feasible when the fitted
-    constant C = max_N f(N) / (N^-alpha + g(phi(N))^gamma) stays below ``cap``
+    the identity), with each of (alpha, beta, gamma) ranging over the twelfths
+    i/12, i = 1..12.  A triple is feasible when the fitted constant
+    C = max_N f(N) / (N^-alpha + g(phi(N))^gamma) stays below _PRECSIM_CAP
     and the ratio is not still growing polynomially at the window end (log-log
-    slope <= ``slope_tol``); the growth guard is what rejects a constant
+    slope <= _PRECSIM_SLOPE_TOL); the growth guard is what rejects a constant
     sequence against a decaying one, which no finite cap alone can do.  Ties
     resolve toward the smallest C, then largest alpha, smallest beta, largest
     gamma.  Returns None when no triple is feasible.
     """
     f_entries = _entries_of(f_series)
     g_map = dict(_entries_of(g_series))
-    if window is not None:
-        lo, hi = window
-        f_entries = [(N, v) for N, v in f_entries if lo <= N <= hi]
     if not f_entries:
-        raise ValueError("domination fit needs a nonempty window")
+        raise ValueError("domination fit needs a nonempty series")
     if any(v < 0 for _, v in f_entries) or any(v < 0 for v in g_map.values()):
         raise ValueError("domination fit needs nonnegative series")
-    axes = tuple(grid) if grid is not None else _GRID_12
-    frac_axes = []
-    for value in axes:
-        frac = (round(value * 12), 12) if abs(value * 12 - round(value * 12)) < 1e-12 else None
-        frac_axes.append(frac)
 
     lengths = [N for N, _ in f_entries]
     best = None
-    for bi, beta in enumerate(axes):
-        phis = []
-        for N in lengths:
-            if frac_axes[bi] is not None:
-                phi = _ceil_power(N, frac_axes[bi][0], frac_axes[bi][1])
-            else:
-                phi = max(1, math.ceil(N**beta - 1e-12))
+    for i, beta in enumerate(_GRID_12, start=1):
+        phis = [_ceil_power(N, i, 12) for N in lengths]
+        for phi in phis:
             if phi not in g_map:
                 raise ValueError(f"domination fit needs the comparison series at N = {phi}")
-            phis.append(phi)
-        for gamma in axes:
+        for gamma in _GRID_12:
             g_pow = [g_map[phi] ** gamma for phi in phis]
-            for alpha in axes:
+            for alpha in _GRID_12:
                 denom = [N ** (-alpha) + gp for N, gp in zip(lengths, g_pow)]
                 ratios = [v / d for (_, v), d in zip(f_entries, denom)]
                 C = max(ratios)
-                if C > cap:
+                if C > _PRECSIM_CAP:
                     continue
                 pts = [(math.log(N), math.log(r)) for N, r in zip(lengths, ratios) if r > 0.0]
                 if len(pts) >= 2 and pts[0][0] != pts[-1][0]:
@@ -324,7 +301,7 @@ def precsim_fit(
                     slope = float(np.polyfit(xs, ys, 1)[0])
                 else:
                     slope = 0.0
-                if slope > slope_tol:
+                if slope > _PRECSIM_SLOPE_TOL:
                     continue
                 key = (C, -alpha, beta, -gamma)
                 if best is None or key < best[0]:
@@ -838,7 +815,8 @@ def _check_general_rbb(
         raise ValueError(f"need {k} window sizes for order {k}")
     if any(h < 1 for h in H) or H[-1] > N:
         raise ValueError("windows must be >= 1 with the last one at most N")
-    lhs = _average_pipeline(system, assignment, N, list(H[: k - 1]), oversample,
+    windows = ScheduleR(tuple(("table", {N: h}) for h in H[: k - 1]))
+    lhs = _average_pipeline(system, assignment, N, windows, oversample,
                             "strong", norm_p=1, threads=threads, budget=budget).upper
     H1, H2 = sorted(H)[:2]
     g1 = assignment.vertex((1,) * (k - 1))
@@ -966,21 +944,16 @@ class ReturnTimesWeights:
     def sequence(self, N: int) -> np.ndarray:
         if not 0 <= self.y_point < self.system_y.size:
             raise ValueError("companion point out of range")
-        n = np.arange(1, N + 1)
-        w = [1 + 0j] * N
-        for g, b in zip(self.g_list, self.steps):
-            vals = np.asarray(g.values)[self.system_y.orbit_indices(self.y_point, b, n)]
-            # scalar products: numpy's vectorised complex product fuses
-            # multiply-adds, which rounds differently on some CPUs
-            w = [p * v for p, v in zip(w, vals.tolist())]
-        return np.array(w, dtype=np.complex128)
+        if any(len(g) != self.system_y.size for g in self.g_list):
+            raise ValueError("companion size does not match system")
+        factors = [(g.values, b) for g, b in zip(self.g_list, self.steps)]
+        return self.system_y.orbit_product(factors, self.y_point, np.arange(1, N + 1))
 
 
 @dataclass
 class HilbertSums:
     """Partial sums S_N = sum_{n<=N} w_n prod_j f_j(T^{a_j n} x) / n^sigma."""
 
-    label: str
     sigma: float
     entries: list  # (N, complex value)
 
@@ -1005,7 +978,6 @@ def hilbert_partial_sums(
     sigma: float,
     N_max: int,
     weights=None,
-    label: str = "hilbert",
     budget=None,
 ) -> HilbertSums:
     """All partial sums of the weighted one-sided transform at a base point.
@@ -1031,7 +1003,7 @@ def hilbert_partial_sums(
         w = weights.sequence(N_max)
     terms = w * scalars / np.arange(1.0, N_max + 1) ** sigma
     sums = np.cumsum(terms)
-    return HilbertSums(label, sigma, [(int(i + 1), complex(sums[i])) for i in range(N_max)])
+    return HilbertSums(sigma, [(int(i + 1), complex(sums[i])) for i in range(N_max)])
 
 
 @dataclass
@@ -1054,20 +1026,21 @@ class HilbertVerdict:
     detail: str = ""
 
 
-def hilbert_criterion(
-    averages,
-    sigma: float,
-    window=None,
-    ratio_max: float = 0.97,
-    contraction: float = 0.5,
-    atol: float = 1e-6,
-) -> HilbertVerdict:
+_TAIL_RATIO_MAX = 0.97  # largest octave-to-octave ratio of the tail sums that counts as decay
+_OSC_CONTRACTION = 0.5  # factor by which the scaled oscillation must shrink from head to last octave
+_HILBERT_ATOL = 1e-6  # a last octave sum or oscillation at most this counts as vanished
+
+
+def hilbert_criterion(averages, sigma: float, window=None) -> HilbertVerdict:
     """Decide convergence of sum a_n / n^sigma from the averages A_N.
 
     ``averages`` must cover every length 1..L (values |A_N|, nonnegative), so
     the underlying sequence can be reconstructed exactly via
     a_n = n A_n - (n - 1) A_{n-1}.  The window needs at least 16 points and
-    three doublings.
+    three doublings.  The tail sums decay when their octave ratio is at most
+    _TAIL_RATIO_MAX, the oscillation shrinks when its last octave is at most
+    _OSC_CONTRACTION times the head's, and either reading passes below
+    _HILBERT_ATOL.
     """
     if not 0.0 < sigma <= 1.0:
         raise ValueError("sigma must lie in (0, 1]")
@@ -1110,12 +1083,12 @@ def hilbert_criterion(
         r_hat = 1.0
     else:
         r_hat = (s[-1] / s[mid]) ** (1.0 / (len(s) - 1 - mid))
-    cond_tail = s[-1] <= atol or r_hat <= ratio_max
+    cond_tail = s[-1] <= _HILBERT_ATOL or r_hat <= _TAIL_RATIO_MAX
 
     v = n ** (1.0 - sigma) * A
     osc = [float(v[b0 - 1 : b1].max() - v[b0 - 1 : b1].min()) for b0, b1 in blocks]
     osc_head = max(osc[: max(1, len(osc) // 2)])
-    cond_osc = osc[-1] <= max(atol, contraction * osc_head)
+    cond_osc = osc[-1] <= max(_HILBERT_ATOL, _OSC_CONTRACTION * osc_head)
 
     window_tail = fsum(term[lo - 1 : hi].tolist())
     if r_hat < 1.0:
@@ -1124,8 +1097,8 @@ def hilbert_criterion(
         tail_sum = math.inf
     scaled = [(int(N), float(v[N - 1])) for N in range(lo, hi + 1)]
     detail = (
-        f"octave sums {['%.3g' % x for x in s]} tail ratio {r_hat:.4f} (max {ratio_max}); "
+        f"octave sums {['%.3g' % x for x in s]} tail ratio {r_hat:.4f} (max {_TAIL_RATIO_MAX}); "
         f"scaled oscillation head {osc_head:.3g} last {osc[-1]:.3g} "
-        f"(contraction {contraction}, floor {atol:g})"
+        f"(contraction {_OSC_CONTRACTION}, floor {_HILBERT_ATOL:g})"
     )
     return HilbertVerdict(sigma, tail_sum, scaled, cauchy_sup, bool(cond_tail and cond_osc), detail)

@@ -27,7 +27,7 @@ import numpy as np
 
 from ._util import check_budget, content_key, fsum, memo, pmap
 from .supbrackets import Bracket, _polyphase_rows, sup_norm_trig
-from .systems import FiniteSystem, Observable
+from .systems import FiniteSystem, Observable, shift_observable
 
 _POINT_CHUNK_BUDGET = 1 << 18  # complex entries gathered per point chunk (4 MiB)
 
@@ -61,9 +61,6 @@ class CubeAssignment:
 
     def vertex(self, bits) -> Observable:
         return self.mapping[tuple(bits)]
-
-    def max_sup_norm(self) -> float:
-        return max(obs.sup_norm for obs in self.mapping.values())
 
 
 @dataclass(frozen=True)
@@ -215,15 +212,24 @@ def _average_pipeline(
     system: FiniteSystem,
     assignment: CubeAssignment,
     N: int,
-    ranges,
+    schedule: ScheduleR,
     oversample: int,
     kernel: str,
     norm_p: int = 2,
     threads: int = 1,
     budget=None,
 ) -> Bracket:
+    """Every cube average: the mean over h in prod_m [1, r_m(N)] of the
+    kernel's bracket for the cube product at h, to the power 2/3."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    if any(len(g) != system.size for g in assignment.mapping.values()):
+        raise ValueError("observable size does not match system")
+    if len(schedule.entries) != assignment.order:
+        raise ValueError(f"schedule must provide {assignment.order} entries for order {assignment.order + 1}")
     if norm_p not in (1, 2):
         raise ValueError("norm_p must be 1 or 2")
+    ranges = schedule.values(N)
     tuples = list(itertools.product(*(range(1, r + 1) for r in ranges)))
     check_budget(_average_cost(len(tuples), system.size, N, oversample), budget, "cube average")
     vertices = [assignment.mapping[bits] for bits in sorted(assignment.mapping)]
@@ -262,8 +268,6 @@ def ww_average(
     budget=None,
 ) -> Bracket:
     """Order-k average of f at length N with the classical sqrt schedule."""
-    if k < 1:
-        raise ValueError("order k must be >= 1")
     return ww_average_alt(
         system, f, k, N, ScheduleR.sqrt_schedule(k - 1), oversample, norm_p, threads, budget
     )
@@ -287,15 +291,8 @@ def ww_average_alt(
     """
     if k < 1:
         raise ValueError("order k must be >= 1")
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if len(f) != system.size:
-        raise ValueError("observable size does not match system")
-    if len(schedule.entries) != k - 1:
-        raise ValueError(f"schedule must provide {k - 1} entries for order {k}")
-    ranges = schedule.values(N)
     assignment = CubeAssignment.diagonal(f, k - 1)
-    return _average_pipeline(system, assignment, N, ranges, oversample, "strong", norm_p, threads, budget)
+    return _average_pipeline(system, assignment, N, schedule, oversample, "strong", norm_p, threads, budget)
 
 
 def weak_ww_average(
@@ -310,13 +307,9 @@ def weak_ww_average(
     """Weak order-k average: supremum outside the L2 norm."""
     if k < 1:
         raise ValueError("order k must be >= 1")
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if len(f) != system.size:
-        raise ValueError("observable size does not match system")
-    ranges = [max(1, math.isqrt(N))] * (k - 1)
     assignment = CubeAssignment.diagonal(f, k - 1)
-    return _average_pipeline(system, assignment, N, ranges, oversample, "weak", threads=threads, budget=budget)
+    return _average_pipeline(system, assignment, N, ScheduleR.sqrt_schedule(k - 1), oversample, "weak",
+                             threads=threads, budget=budget)
 
 
 def off_diagonal_average(
@@ -329,10 +322,8 @@ def off_diagonal_average(
     budget=None,
 ) -> Bracket:
     """Cube average with an independent observable at each vertex."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    ranges = [max(1, math.isqrt(N))] * assignment.order
-    return _average_pipeline(system, assignment, N, ranges, oversample, "strong", norm_p, threads, budget)
+    schedule = ScheduleR.sqrt_schedule(assignment.order)
+    return _average_pipeline(system, assignment, N, schedule, oversample, "strong", norm_p, threads, budget)
 
 
 def zeta_transformed_assignment(
@@ -353,10 +344,7 @@ def zeta_transformed_assignment(
     mapping = {}
     for bits in itertools.product((0, 1), repeat=assignment.order):
         src = tuple(b if z else 1 - b for b, z in zip(bits, zeta))  # the bit flip outside zeta
-        g = assignment.vertex(src)
         shift = (R + 1) * sum(1 for b, z in zip(bits, zeta) if z == 0 and b == 0)
-        vals = g.values[system.power_indices(shift)]
-        if (sum(src) - sum(bits)) % 2 == 1:
-            vals = np.conjugate(vals)
-        mapping[bits] = Observable(vals)
+        g = shift_observable(system, assignment.vertex(src), shift)
+        mapping[bits] = g.conj() if (sum(src) - sum(bits)) % 2 == 1 else g
     return CubeAssignment(mapping)

@@ -76,16 +76,6 @@ class ResidenceInterval:
         return self.U - self.L + 1
 
 
-def box_intersection_count(fam: BoxFamily, a: int, b: int) -> int:
-    """# (Box_a intersect Box_b) = prod_m max(H_m - (b - a), 0)."""
-    if a > b:
-        raise ValueError("need a <= b")
-    out = 1
-    for h in fam.H:
-        out *= max(h - (b - a), 0)
-    return out
-
-
 def residence_interval(fam: BoxFamily, h):
     """Interval of n in [0, q] with h in Box_n, or None if there is none."""
     h = tuple(int(v) for v in h)
@@ -244,11 +234,11 @@ def interchange_check(fam: BoxFamily, integrand):
     return lhs, rhs
 
 
-def level_sweep(k_values=(1, 2, 3), H_max: int = 5, q_max: int = 15, N: int | None = None):
+def level_sweep(k_values=(1, 2, 3), H_max: int = 5, q_max: int = 15):
     """Rows comparing formula, enumeration, and bounds across a parameter grid.
 
     Yields dicts with keys k, H, q, p, exact, brute, bound_lhs, bound_rhs,
-    slack.  N defaults to q + 1 for each family.
+    slack; each family's bound is read at length N = q + 1.
     """
     for k in k_values:
         for H in itertools.product(range(1, H_max + 1), repeat=k):
@@ -257,7 +247,7 @@ def level_sweep(k_values=(1, 2, 3), H_max: int = 5, q_max: int = 15, N: int | No
                 fam = BoxFamily(H, q)
                 hist = level_histogram_bruteforce(fam)
                 for p in range(1, fam_min + 1):
-                    report = level_bound_check(fam, p, N if N is not None else q + 1)
+                    report = level_bound_check(fam, p, q + 1)
                     yield {
                         "k": k,
                         "H": "x".join(str(h) for h in H),

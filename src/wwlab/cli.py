@@ -95,6 +95,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.op not in _OPS:
             raise ConfigError(f"unknown op {self.op!r}; known: {', '.join(_OPS)}")
+        if not isinstance(self.extra, dict):
+            raise ConfigError("extra must be a JSON object")
         if self.op == "check":
             if not self.check_name:
                 raise ConfigError("op 'check' needs a check name (check:<name>)")
@@ -134,6 +136,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ConfigError("a config must be a JSON object")
         known = {f for f in cls.__dataclass_fields__}
         bad = set(data) - known
         if bad:
@@ -181,18 +185,17 @@ def parse_system(text: str) -> dict:
 
 
 def parse_function(text: str) -> dict:
-    parts = text.split(":", 1)
-    kind = parts[0]
-    if kind == "random":
-        return {"kind": "random", "seed": int(parts[1])}
-    if kind == "character":
-        return {"kind": "character", "j": int(parts[1])}
-    if kind == "table":
-        try:
-            values = [complex(v) for v in parts[1].split(",")]
-        except (IndexError, ValueError) as exc:
-            raise ConfigError(f"bad table values in {text!r}: {exc}") from None
-        return {"kind": "table", "values": [[v.real, v.imag] for v in values]}
+    """Shorthand like random:7, character:2, table:1,2j,-1."""
+    kind, _, arg = text.partition(":")
+    try:
+        if kind == "random":
+            return {"kind": "random", "seed": int(arg)}
+        if kind == "character":
+            return {"kind": "character", "j": int(arg)}
+        if kind == "table":
+            return {"kind": "table", "values": [[v.real, v.imag] for v in map(complex, arg.split(","))]}
+    except ValueError as exc:
+        raise ConfigError(f"bad function spec {text!r}: {exc}") from None
     raise ConfigError(f"unknown function shorthand {kind!r}")
 
 
@@ -625,19 +628,19 @@ def emit_report(records, fmt: str, out_dir: str) -> list:
 # -- argparse front end ------------------------------------------------------
 
 
-def _print_record(record: ResultRecord, out=print):
-    out(f"# {record.op}  config {record.config_hash}  ({record.wall_time:.2f}s)")
+def _print_record(record: ResultRecord):
+    print(f"# {record.op}  config {record.config_hash}  ({record.wall_time:.2f}s)")
     if record.rows and "N" in record.rows[0]:
         header = [k for k in ("N", "lower", "upper", "c", "slack", "label") if k in record.rows[0]]
-        out("  " + "  ".join(f"{h:>12s}" for h in header))
+        print("  " + "  ".join(f"{h:>12s}" for h in header))
         for row in record.rows:
             cells = []
             for h in header:
                 v = row[h]
                 cells.append(f"{v:12.6g}" if isinstance(v, (int, float)) else f"{str(v):>12s}")
-            out("  " + "  ".join(cells))
+            print("  " + "  ".join(cells))
     for key, value in record.summary.items():
-        out(f"  {key}: {value}")
+        print(f"  {key}: {value}")
 
 
 def _config_from_args(args) -> ExperimentConfig:

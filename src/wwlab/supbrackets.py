@@ -144,13 +144,9 @@ class Bracket:
     def rel_width(self) -> float:
         return self.width / max(abs(self.lower), 1e-300)
 
-    def map_monotone(self, fn) -> "Bracket":
-        """Apply a nondecreasing function to both endpoints."""
-        return Bracket(float(fn(self.lower)), float(fn(self.upper)), self.argmax_hint, self.certified)
-
     @staticmethod
-    def exact(value: float, hint: tuple = ()) -> "Bracket":
-        return Bracket(float(value), float(value), hint)
+    def exact(value: float) -> "Bracket":
+        return Bracket(float(value), float(value), ())
 
 
 def _validate_oversample(oversample: int) -> int:
@@ -167,20 +163,6 @@ def _secant(degree: int, grid: int) -> float:
     if x >= math.pi / 2:
         raise ValueError("grid too coarse for the secant certificate")
     return 1.0 / math.cos(x)
-
-
-def modulated_mean(u, coefficients) -> complex:
-    """(1/N) sum_{n=1..N} u_n exp(2 pi i (t_1 n + ... + t_k n^k)), exactly."""
-    u = np.asarray(u, dtype=np.complex128)
-    N = u.size
-    if N == 0:
-        raise ValueError("empty sequence")
-    n = np.arange(1, N + 1, dtype=float)
-    phase = np.zeros(N)
-    for j, t in enumerate(coefficients, start=1):
-        phase = phase + float(t) * n**j
-    terms = u * np.exp(2j * np.pi * phase)
-    return fsum_complex(terms.tolist()) / N
 
 
 # -- grid kernels ------------------------------------------------------------

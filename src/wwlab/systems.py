@@ -29,15 +29,13 @@ the ``start`` of its cycle there, its position ``pos`` on it and the cycle
 orbit reader gathers through ``FiniteSystem.orbit_indices``, and every
 product of observables along orbits, prod_j v_j(T^{a_j n} x), that is
 gathered afresh goes through ``FiniteSystem.orbit_product`` (a cube shift is
-a step at n = 1).  Four readers keep their own: ``ReturnTimesWeights.sequence``
-multiplies Python scalars, since numpy's complex product fuses multiply-adds
-on some CPUs and rounds differently; the recurrence slab fill, its brute-force
-enumeration and ``intermediate_F`` reuse index tables built once across
-fills, sign combinations and shift tuples.
+a step at n = 1).  Three readers keep their own gathers, each reusing index
+tables it builds once: the recurrence slab fill across its refills, its
+brute-force enumeration across sign combinations, and ``intermediate_F``
+across shift tuples.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -294,14 +292,6 @@ def product_system(a: FiniteSystem, b: FiniteSystem) -> FiniteSystem:
     return FiniteSystem(w, fwd, {"kind": "product", "a": a.spec, "b": b.spec})
 
 
-def system_spec_to_json(system: FiniteSystem) -> str:
-    return json.dumps(system.spec, sort_keys=True)
-
-
-def system_from_json(text: str) -> FiniteSystem:
-    return build_system(json.loads(text))
-
-
 # -- observables -------------------------------------------------------------
 
 
@@ -339,8 +329,9 @@ class Observable:
         return f"Observable(size={len(self)}, sup_norm={self.sup_norm:.6g})"
 
 
-def constant_observable(system: FiniteSystem, value: complex = 1.0) -> Observable:
-    return Observable(np.full(system.size, value, dtype=np.complex128))
+def constant_observable(system: FiniteSystem) -> Observable:
+    """The constant 1."""
+    return Observable(np.ones(system.size, dtype=np.complex128))
 
 
 def character_observable(system: FiniteSystem, j: int) -> Observable:

@@ -26,7 +26,7 @@ from wwlab.analysis import (
     run_named_check,
 )
 from wwlab._util import BudgetExceeded
-from wwlab.recurrence import ExponentVector
+from wwlab.recurrence import ExponentVector, _orbit_scalars
 from wwlab.systems import (
     Observable, constant_observable, cyclic_shift, identity_system, random_mean_zero, random_permutation,
 )
@@ -41,13 +41,6 @@ def test_series_report_validation():
         SeriesReport("bad", [(16, 1.0), (8, 0.5)])
     with pytest.raises(ValueError):
         SeriesReport("bad", [(8, -1.0)])
-
-
-def test_series_report_window():
-    s = SeriesReport("s", [(8, 1.0), (16, 0.5), (32, 0.25)])
-    w = s.window(10, 32)
-    assert list(w.lengths) == [16, 32]
-    assert w.label == "s"
 
 
 # -- power-law fitting --------------------------------------------------------
@@ -244,6 +237,14 @@ def test_unit_return_times_weights_match_unweighted():
     assert np.array_equal(weighted.values, plain.values)
 
 
+def test_return_times_weights_match_the_orbit_scalars():
+    # the Y side of a weighted Hilbert sum is the same orbit product as the X side
+    system = random_permutation(16384, 7)
+    gs = [random_mean_zero(system, 1), random_mean_zero(system, 2)]
+    w = ReturnTimesWeights(system, 3, tuple(gs), (1, 2)).sequence(4096)
+    assert w.tobytes() == _orbit_scalars(system, gs, ExponentVector((1, 2)), 3, 4096).tobytes()
+
+
 def test_hilbert_criterion_accepts_decaying_averages():
     L = 512
     avgs = [(N, N**-0.5) for N in range(1, L + 1)]
@@ -330,8 +331,9 @@ def test_pointwise_orbit_readers_match_a_walk(size, seed, a, N):
     walk = [orbit[(a * n) % len(orbit)] for n in range(1, N + 1)]
     w = ReturnTimesWeights(system, y, (g, f), (a, 1)).sequence(N)
     walk1 = [orbit[n % len(orbit)] for n in range(1, N + 1)]
-    expected = [complex(g.values[i]) * complex(f.values[j]) for i, j in zip(walk, walk1)]
-    assert w.tolist() == expected
+    expected = g.values[walk]  # multiplied as an orbit product is: the first factor, then *= the next
+    expected *= f.values[walk1]
+    assert w.tolist() == expected.tolist()
     sums = hilbert_partial_sums(system, y, [f], ExponentVector((a,)), 1.0, N)
     terms = f.values[walk] / np.arange(1, N + 1)
     assert np.array_equal(sums.values, np.cumsum(terms))

@@ -44,7 +44,6 @@ def test_diagonal_assignment():
     asg = CubeAssignment.diagonal(f, 2)
     assert asg.order == 2
     assert np.array_equal(asg.vertex((0, 1)).values, f.values)
-    assert asg.max_sup_norm() == 2.0
 
 
 def _cube_product_loop(system, assignment, h):

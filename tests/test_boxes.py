@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from wwlab.boxes import (
     BoxFamily,
-    box_intersection_count,
     cancellation_identity,
     exact_level_count,
     interchange_check,
@@ -51,9 +50,6 @@ def test_family_requires_q_above_min_side():
 
 def test_residence_interval_consistency():
     fam = BoxFamily((2, 2), 4)
-    for a in range(5):
-        for b in range(a, 5):
-            assert box_intersection_count(fam, a, b) >= 0
     res = residence_interval(fam, (1, 1))
     assert res is not None and (res.L, res.U) == (0, 1) and res.width == 2
     assert residence_interval(fam, (-fam.q, fam.H[1])) is None

@@ -212,6 +212,20 @@ def test_check_inputs_are_read_or_refused(tmp_path, capsys, argv, reason):
     assert err.startswith("error:") and reason in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--op", "ww", "--system", "cyclic:13", "--f", "random"],
+    ["--op", "ww", "--system", "cyclic:13", "--f", "random:x"],
+    ["--op", "ww", "--system", "cyclic:13", "--f", "character"],
+    ["--op", "mrec", "--system", "cyclic:13", "--extra", "[1]"],
+    ["--config", "list.json"],
+])
+def test_malformed_input_exits_2(tmp_path, capsys, argv):
+    (tmp_path / "list.json").write_text("[1, 2]")
+    argv = [str(tmp_path / a) if a == "list.json" else a for a in argv]
+    assert main(["run", *argv, "--no-cache", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_check_budget_reaches_the_maximal_check(tmp_path, capsys):
     assert main(["run", "--op", "check:maximal", "--budget", "1", "--no-cache", "--out", str(tmp_path)]) == 2
     assert "budget refusal" in capsys.readouterr().err

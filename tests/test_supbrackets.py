@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wwlab._util import BudgetExceeded
+from wwlab._util import BudgetExceeded, fsum_complex
 from wwlab.averages import ww_average
 from wwlab import supbrackets
 from wwlab.supbrackets import (
@@ -23,7 +23,6 @@ from wwlab.supbrackets import (
     _screen_table,
     _secant,
     _twist_table,
-    modulated_mean,
     sup_modulated_average,
     sup_norm_trig,
     sup_polyphase,
@@ -39,11 +38,10 @@ def test_bracket_invariants():
         Bracket(2.0, 1.0, ())
 
 
-def test_bracket_exact_and_monotone_map():
+def test_bracket_exact():
     b = Bracket.exact(4.0)
     assert b.width == 0.0
-    cube = b.map_monotone(lambda x: x**3)
-    assert cube.lower == cube.upper == 64.0
+    assert b.lower == b.upper == 4.0
 
 
 def test_constant_sequence_sup_is_one():
@@ -57,6 +55,18 @@ def test_constant_sequence_sup_is_one():
 def test_single_point_sequence():
     br = sup_modulated_average(np.array([3.0 - 4.0j]))
     assert br.lower == pytest.approx(5.0, abs=1e-12)
+
+
+def modulated_mean(u, coefficients) -> complex:
+    """(1/N) sum_{n=1..N} u_n exp(2 pi i (t_1 n + ... + t_k n^k)), exactly rounded."""
+    u = np.asarray(u, dtype=np.complex128)
+    N = u.size
+    n = np.arange(1, N + 1, dtype=float)
+    phase = np.zeros(N)
+    for j, t in enumerate(coefficients, start=1):
+        phase = phase + float(t) * n**j
+    terms = u * np.exp(2j * np.pi * phase)
+    return fsum_complex(terms.tolist()) / N
 
 
 def test_modulated_mean_matches_direct_sum():

@@ -1,5 +1,7 @@
 """Finite systems, observables, partitions, and spectral data."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,8 +27,6 @@ from wwlab.systems import (
     shift_observable,
     skew_product,
     spectral_coefficient,
-    system_from_json,
-    system_spec_to_json,
     tensor_observable,
     two_cell_parity_partition,
 )
@@ -222,7 +222,7 @@ def test_product_system_and_tensor():
 
 def test_system_json_round_trip():
     system = random_permutation(8, 2)
-    back = system_from_json(system_spec_to_json(system))
+    back = build_system(json.loads(json.dumps(system.spec)))
     assert np.array_equal(back.forward, system.forward)
     assert np.allclose(back.weights, system.weights)
 

@@ -14,7 +14,6 @@ from wwlab._util import (
     _Memo,
     check_budget,
     current_budget,
-    fmean,
     fsum_complex,
     pmap,
 )
@@ -52,12 +51,6 @@ def test_fsum_complex_is_order_independent():
     a = fsum_complex(vals.tolist())
     b = fsum_complex(vals[::-1].tolist())
     assert a == b
-
-
-def test_fmean_rejects_empty():
-    assert fmean([1.0, 2.0, 3.0]) == 2.0
-    with pytest.raises(ValueError):
-        fmean([])
 
 
 def test_pmap_preserves_order_across_thread_counts():
