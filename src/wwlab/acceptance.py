@@ -584,15 +584,12 @@ _CRITERIA = (
 )
 
 
-def run_all(only=None) -> list:
-    """Run the numbered criteria; ``only`` is a comma list or iterable of numbers."""
+def run_all(only: str | None = None) -> list:
+    """Run the numbered criteria; ``only`` is a comma list of numbers."""
     if only is None:
         selected = _CRITERIA
     else:
-        if isinstance(only, str):
-            wanted = {int(tok) for tok in only.replace(" ", "").split(",") if tok}
-        else:
-            wanted = {int(x) for x in only}
+        wanted = {int(tok) for tok in only.replace(" ", "").split(",") if tok}
         unknown = wanted - {num for num, _ in _CRITERIA}
         if unknown:
             raise ValueError(f"unknown criteria {sorted(unknown)}; valid numbers are 1..13")

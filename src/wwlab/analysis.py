@@ -109,14 +109,6 @@ class SeriesReport:
                 raise ValueError(f"series value at N={N} must be finite and >= 0")
             prev = N
 
-    @property
-    def lengths(self) -> np.ndarray:
-        return np.array([e[0] for e in self.entries], dtype=np.int64)
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.array([e[1] for e in self.entries], dtype=np.float64)
-
 
 @dataclass(frozen=True)
 class DecayFit:
@@ -225,25 +217,21 @@ def _entries_of(series) -> list:
     return out
 
 
-def decay_fit(series, window=None) -> DecayFit:
+def decay_fit(series) -> DecayFit:
     """Fit value ~ C * N^-alpha by least squares on (log N, log value).
 
-    A zero value anywhere in the window short-circuits to the alpha = +inf
-    sentinel; negative values are rejected.
+    The window is the whole series.  A zero value anywhere short-circuits to
+    the alpha = +inf sentinel; negative values are rejected.
     """
     entries = _entries_of(series)
-    if window is not None:
-        lo, hi = window
-        entries = [(N, v) for N, v in entries if lo <= N <= hi]
-    else:
-        window = (entries[0][0], entries[-1][0]) if entries else (0, 0)
     if len(entries) < 4:
-        raise ValueError("decay fit needs at least 4 points in the window")
+        raise ValueError("decay fit needs at least 4 points")
+    window = (entries[0][0], entries[-1][0])
     values = np.array([v for _, v in entries])
     if np.any(values < 0):
         raise ValueError("decay fit needs nonnegative values")
     if np.any(values == 0):
-        return DecayFit(math.inf, 0.0, 1.0, tuple(window))
+        return DecayFit(math.inf, 0.0, 1.0, window)
     x = np.log(np.array([N for N, _ in entries], dtype=np.float64))
     y = np.log(values)
     slope, intercept = np.polyfit(x, y, 1)
@@ -251,7 +239,7 @@ def decay_fit(series, window=None) -> DecayFit:
     ss_res = float(np.dot(resid, resid))
     ss_tot = float(np.dot(y - y.mean(), y - y.mean()))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return DecayFit(float(-slope), float(math.exp(intercept)), r2, tuple(window))
+    return DecayFit(float(-slope), float(math.exp(intercept)), r2, window)
 
 
 _GRID_12 = tuple(i / 12.0 for i in range(1, 13))
@@ -944,6 +932,8 @@ class ReturnTimesWeights:
     def sequence(self, N: int) -> np.ndarray:
         if not 0 <= self.y_point < self.system_y.size:
             raise ValueError("companion point out of range")
+        if len(self.g_list) != len(self.steps):
+            raise ValueError("need one companion observable per step")
         if any(len(g) != self.system_y.size for g in self.g_list):
             raise ValueError("companion size does not match system")
         factors = [(g.values, b) for g, b in zip(self.g_list, self.steps)]
@@ -956,10 +946,6 @@ class HilbertSums:
 
     sigma: float
     entries: list  # (N, complex value)
-
-    @property
-    def lengths(self) -> np.ndarray:
-        return np.array([e[0] for e in self.entries], dtype=np.int64)
 
     @property
     def values(self) -> np.ndarray:

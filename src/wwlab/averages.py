@@ -67,8 +67,8 @@ class CubeAssignment:
 class ScheduleR:
     """Per-coordinate shift ranges r_1..r_{k-1} for generalized averages.
 
-    Each entry is one of ``("sqrt",)``, ``("power", delta)``, ``("linear",)``
-    or ``("table", {N: r})``.  Values must be integers >= 1; tables are
+    Each entry is one of ``("sqrt",)``, ``("linear",)`` or
+    ``("table", {N: r})``.  Table values must be integers >= 1; tables are
     checked for monotonicity over their keys.
     """
 
@@ -80,11 +80,6 @@ class ScheduleR:
             kind = e[0]
             if kind == "sqrt" or kind == "linear":
                 entries.append((kind,))
-            elif kind == "power":
-                delta = float(e[1])
-                if not 0 < delta <= 4:
-                    raise ValueError("power schedule exponent must be in (0, 4]")
-                entries.append(("power", delta))
             elif kind == "table":
                 table = {int(k): int(v) for k, v in dict(e[1]).items()}
                 if any(v < 1 for v in table.values()):
@@ -111,8 +106,6 @@ class ScheduleR:
             return max(1, math.isqrt(N))
         if kind == "linear":
             return max(1, int(N))
-        if kind == "power":
-            return max(1, int(math.floor(float(N) ** self.entries[m][1] * (1 + 1e-12))))
         table = dict(self.entries[m][1])
         if N not in table:
             raise ValueError(f"table schedule has no value for N={N}")
@@ -220,15 +213,17 @@ def _average_pipeline(
     budget=None,
 ) -> Bracket:
     """Every cube average: the mean over h in prod_m [1, r_m(N)] of the
-    kernel's bracket for the cube product at h, to the power 2/3."""
+    kernel's bracket for the cube product at h, to the power 2/3.
+
+    ``norm_p`` is 2 for every public average; the general-window check
+    passes 1 for the L1 form of the strong kernel.
+    """
     if N < 1:
         raise ValueError("N must be >= 1")
     if any(len(g) != system.size for g in assignment.mapping.values()):
         raise ValueError("observable size does not match system")
     if len(schedule.entries) != assignment.order:
         raise ValueError(f"schedule must provide {assignment.order} entries for order {assignment.order + 1}")
-    if norm_p not in (1, 2):
-        raise ValueError("norm_p must be 1 or 2")
     ranges = schedule.values(N)
     tuples = list(itertools.product(*(range(1, r + 1) for r in ranges)))
     check_budget(_average_cost(len(tuples), system.size, N, oversample), budget, "cube average")
@@ -263,14 +258,11 @@ def ww_average(
     k: int,
     N: int,
     oversample: int = 16,
-    norm_p: int = 2,
     threads: int = 1,
     budget=None,
 ) -> Bracket:
     """Order-k average of f at length N with the classical sqrt schedule."""
-    return ww_average_alt(
-        system, f, k, N, ScheduleR.sqrt_schedule(k - 1), oversample, norm_p, threads, budget
-    )
+    return ww_average_alt(system, f, k, N, ScheduleR.sqrt_schedule(k - 1), oversample, threads, budget)
 
 
 def ww_average_alt(
@@ -280,7 +272,6 @@ def ww_average_alt(
     N: int,
     schedule: ScheduleR,
     oversample: int = 16,
-    norm_p: int = 2,
     threads: int = 1,
     budget=None,
 ) -> Bracket:
@@ -292,7 +283,7 @@ def ww_average_alt(
     if k < 1:
         raise ValueError("order k must be >= 1")
     assignment = CubeAssignment.diagonal(f, k - 1)
-    return _average_pipeline(system, assignment, N, schedule, oversample, "strong", norm_p, threads, budget)
+    return _average_pipeline(system, assignment, N, schedule, oversample, "strong", threads=threads, budget=budget)
 
 
 def weak_ww_average(
@@ -317,13 +308,12 @@ def off_diagonal_average(
     assignment: CubeAssignment,
     N: int,
     oversample: int = 16,
-    norm_p: int = 2,
     threads: int = 1,
     budget=None,
 ) -> Bracket:
     """Cube average with an independent observable at each vertex."""
     schedule = ScheduleR.sqrt_schedule(assignment.order)
-    return _average_pipeline(system, assignment, N, schedule, oversample, "strong", norm_p, threads, budget)
+    return _average_pipeline(system, assignment, N, schedule, oversample, "strong", threads=threads, budget=budget)
 
 
 def zeta_transformed_assignment(

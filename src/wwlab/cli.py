@@ -9,7 +9,8 @@ digest of the numerics modules' source, so a record computed before an edit
 to the numerics is recomputed after it.
 
 Exit codes: 0 when everything ran and passed, 1 when a check or selftest
-reported a failure, 2 for configuration problems (including budget refusal).
+reported a failure, 2 for configuration problems, including a value the
+library refuses and budget refusal.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from .systems import (
 )
 
 _OPS = (
-    "ww", "weak_ww", "offdiag", "mrec", "mrec_sup", "polyphase", "return_times",
+    "ww", "weak_ww", "offdiag", "mrec", "polyphase", "return_times",
     "hilbert", "check", "boxsweep", "decay", "precsim",
 )
 
@@ -350,14 +351,13 @@ def run_experiment(config: ExperimentConfig, threads: int = 1, budget=None) -> R
                                      restarts=restarts, seed=config.seed, budget=budget)
             rows.append({"N": N, "lower": m.lower, "upper": m.upper, "method": m.method})
 
-    elif op in ("mrec_sup", "polyphase", "return_times", "hilbert"):
+    elif op in ("polyphase", "return_times", "hilbert"):
         # orbit products prod_j f_j o T^{a_j n}, one exponent per function
         system, sys_y, functions = _resolve_scene(config)
         exponents = ExponentVector(tuple(config.extra.get("exponents",
                                                           range(1, len(functions) + 1))))
-        if op in ("mrec_sup", "polyphase"):
-            degree = 1 if op == "mrec_sup" else config.degree
-            out = [(N, polyphase_mrec_sup(system, functions, exponents, degree, N,
+        if op == "polyphase":
+            out = [(N, polyphase_mrec_sup(system, functions, exponents, config.degree, N,
                                           config.oversample, budget=budget))
                    for N in config.schedule]
             rows = _bracket_rows(out)
@@ -383,8 +383,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 1, budget=None) -> R
                     raise ConfigError("return-time weights need 'system_b'")
                 g = _build_function(rw.get("g", {"kind": "random", "seed": config.seed + 1}),
                                     sys_y, "extra.return_weights.g")
-                weights = ReturnTimesWeights(sys_y, int(rw.get("y_point", 0)), (g,),
-                                             tuple(rw.get("steps", (1,))))
+                steps = tuple(rw.get("steps", (1,)))
+                weights = ReturnTimesWeights(sys_y, int(rw.get("y_point", 0)), (g,) * len(steps), steps)
             sums = hilbert_partial_sums(system, config.x_point, functions, exponents,
                                         config.sigma, config.schedule[-1], weights, budget=budget)
             wanted = set(config.schedule)
@@ -826,7 +826,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ConfigError, ReportError) as exc:
+    except ValueError as exc:  # ConfigError, ReportError, or a value the library refuses
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceeded as exc:

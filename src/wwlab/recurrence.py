@@ -57,6 +57,7 @@ from .supbrackets import Bracket, _grid_sup_rows
 from .systems import FiniteSystem, Observable
 
 _BRUTE_CASE_CAP = 1 << 20
+_ASCENT_TOL = 1e-9  # a restart stops once a cycle raises the objective by at most this, relative
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,7 @@ class MrecBracket:
     ``lower`` is always attained by the reported witnesses; ``upper`` is the
     triangle-inequality cap ||f||_2 unless brute-force enumeration closed
     the gap (then the two endpoints agree on the searched class).
-    ``converged`` says whether the reported restart stopped on ``tol``
+    ``converged`` says whether the reported restart stopped on _ASCENT_TOL
     rather than at ``max_cycles`` (always true for brute force, which is
     exact).  It is diagnostic only: CLI rows and cache records omit it.
     """
@@ -118,12 +119,9 @@ def multiple_recurrence_average(
     functions,
     exponents: ExponentVector,
     N: int,
-    norm_p: int = 2,
     budget=None,
 ):
-    """|| (1/N) sum_n prod_j f_j o T^{a_j n} ||_p for given observables."""
-    if norm_p not in (1, 2):
-        raise ValueError("norm_p must be 1 or 2")
+    """|| (1/N) sum_n prod_j f_j o T^{a_j n} ||_2 for given observables."""
     if len(functions) != len(exponents):
         raise ValueError("need one observable per exponent")
     if N < 1:
@@ -138,11 +136,7 @@ def multiple_recurrence_average(
         system.orbit_product(factors, slice(None), np.arange(n.start + 1, n.stop + 1)[:, None], out=terms)
         for term in terms:  # in order of n, not pairwise
             acc += term
-    avg = acc / N
-    w = system.weights
-    if norm_p == 2:
-        return math.sqrt(fsum((w * np.abs(avg) ** 2).tolist()))
-    return fsum((w * np.abs(avg)).tolist())
+    return math.sqrt(fsum((system.weights * np.abs(acc / N) ** 2).tolist()))
 
 
 # -- uniform version ---------------------------------------------------------
@@ -267,7 +261,6 @@ def uniform_mrec_bracket(
     N: int,
     restarts: int = 2,
     seed: int = 0,
-    tol: float = 1e-9,
     max_cycles: int = 60,
     real_signs: bool = False,
     brute_force: bool = False,
@@ -298,14 +291,14 @@ def uniform_mrec_bracket(
     else:
         est = (restarts + 1) * max_cycles * k * (float(N) * M + M * min(M, _SLAB * N))
         check_budget(est, budget, "uniform_mrec_bracket")
-    key = content_key(system, [f], "uniform_mrec_bracket", k, N, restarts, seed, tol, max_cycles,
-                      real_signs, brute_force)
+    key = content_key(system, [f], "uniform_mrec_bracket", k, N, restarts, seed, max_cycles, real_signs,
+                      brute_force)
     result = memo.get(key)
     if result is None:
         if brute_force:
             result = _brute_bracket(system, f, k, N)
         else:
-            result = _ascent_bracket(system, f, k, N, restarts, seed, tol, max_cycles, real_signs)
+            result = _ascent_bracket(system, f, k, N, restarts, seed, max_cycles, real_signs)
         memo.put(key, result, sum(g.nbytes for g in result.witnesses) + 32 * len(result.trace))
     # the stored result never leaves the memo, so callers may mutate theirs
     return replace(result, witnesses=[g.copy() for g in result.witnesses], trace=list(result.trace))
@@ -335,7 +328,7 @@ def _brute_bracket(system, f, k, N) -> MrecBracket:
     return MrecBracket(val, val, "brute", [np.asarray(g) for g in best_g], converged=True)
 
 
-def _ascent_bracket(system, f, k, N, restarts, seed, tol, max_cycles, real_signs) -> MrecBracket:
+def _ascent_bracket(system, f, k, N, restarts, seed, max_cycles, real_signs) -> MrecBracket:
     M = system.size
     w = system.weights
     cap = math.sqrt(fsum((w * np.abs(f.values) ** 2).tolist()))
@@ -370,7 +363,7 @@ def _ascent_bracket(system, f, k, N, restarts, seed, tol, max_cycles, real_signs
             if obj_new < obj - 1e-12 * max(1.0, obj):
                 raise AssertionError("coordinate ascent decreased the objective")
             trace.append(obj_new)
-            if obj_new - obj <= tol * max(1.0, obj):
+            if obj_new - obj <= _ASCENT_TOL * max(1.0, obj):
                 obj = obj_new
                 converged = True
                 break

@@ -109,7 +109,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import _Memo, check_budget, fsum_complex
+from ._util import _Memo, check_budget
 
 _MAX_CERTIFIED_DEGREE = 2
 _MIN_OVERSAMPLE = 4
@@ -143,10 +143,6 @@ class Bracket:
     @property
     def rel_width(self) -> float:
         return self.width / max(abs(self.lower), 1e-300)
-
-    @staticmethod
-    def exact(value: float) -> "Bracket":
-        return Bracket(float(value), float(value), ())
 
 
 def _validate_oversample(oversample: int) -> int:
@@ -445,7 +441,7 @@ def sup_polyphase(u, degree: int, oversample: int = 16, budget: float | None = N
     """Bracket for sup over (t_1..t_k) of |(1/N) sum u_n e^{2 pi i p(n)}|
     with p(n) = t_1 n + ... + t_k n^k.
 
-    Degrees 0..2 are certified; higher degrees return a flagged lower bound
+    Degrees 1 and 2 are certified; higher degrees return a flagged lower bound
     whose upper endpoint is the triangle-inequality cap.
     """
     oversample = _validate_oversample(oversample)
@@ -453,11 +449,8 @@ def sup_polyphase(u, degree: int, oversample: int = 16, budget: float | None = N
     if u.ndim != 1 or u.size == 0:
         raise ValueError("sequence must be a nonempty 1-d array")
     N = u.size
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    if degree == 0:
-        val = abs(fsum_complex((u / N).tolist()))
-        return Bracket(val, val, ())
+    if degree < 1:
+        raise ValueError("degree must be >= 1")
     # log2 K_1 per grid point for the transforms, or N for the phase terms
     # of an uncertified search where that is more
     total = float(math.prod(oversample * N**j for j in range(1, degree + 1)))

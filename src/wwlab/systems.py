@@ -320,11 +320,6 @@ class Observable:
     def conj(self) -> "Observable":
         return Observable(np.conjugate(self.values))
 
-    def __mul__(self, other: "Observable") -> "Observable":
-        if len(self) != len(other):
-            raise ValueError("observable size mismatch")
-        return Observable(self.values * other.values)
-
     def __repr__(self) -> str:
         return f"Observable(size={len(self)}, sup_norm={self.sup_norm:.6g})"
 
@@ -373,7 +368,7 @@ def shift_observable(system: FiniteSystem, f: Observable, a: int) -> Observable:
 
 
 def integrate(system: FiniteSystem, f: Observable, p=None):
-    """Integral (p=None) or L^p norm of an observable, p in {1, 2, inf}.
+    """Integral (p=None) or L^2 norm (p=2) of an observable.
 
     Reductions use exactly rounded summation, so the result does not depend
     on point order.
@@ -384,12 +379,8 @@ def integrate(system: FiniteSystem, f: Observable, p=None):
     if p is None:
         terms = w * f.values
         return complex(fsum(terms.real.tolist()), fsum(terms.imag.tolist()))
-    if p == 1:
-        return fsum((w * np.abs(f.values)).tolist())
     if p == 2:
         return math.sqrt(fsum((w * np.abs(f.values) ** 2).tolist()))
-    if p in (np.inf, math.inf, "inf"):
-        return f.sup_norm
     raise ValueError(f"unsupported norm exponent {p!r}")
 
 

@@ -10,6 +10,10 @@ N.  The other three legs of that criterion pass and are reported in the
 detail line.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from wwlab import acceptance
@@ -92,6 +96,24 @@ def test_run_all_selection():
 def test_run_all_rejects_unknown_numbers():
     with pytest.raises(ValueError):
         acceptance.run_all(only="14")
+
+
+_DIGEST_PROBE = """
+import hashlib
+from wwlab import acceptance
+print(hashlib.sha256(repr(acceptance._digest(1)).encode()).hexdigest())
+"""
+# criterion 13 compares runs with each other; this pins what they compute
+_CRITERION_13_DIGEST = "35a2e23346015237646ba855b82c1fde2683d34ed6fd62b9f893c28427202137"
+
+
+def test_criterion_13_digest_is_pinned_at_one_and_two_blas_threads():
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        out = subprocess.run([sys.executable, "-c", _DIGEST_PROBE], capture_output=True, text=True,
+                             check=True, env=env).stdout.strip()
+        assert out == _CRITERION_13_DIGEST, f"BLAS threads {threads}"
 
 
 def test_criterion_13_recomputes_every_run(monkeypatch):

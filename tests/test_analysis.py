@@ -66,10 +66,9 @@ def test_decay_fit_zero_sentinel():
 
 def test_decay_fit_window_and_minimum_points():
     entries = [(N, 1.0 / N) for N in (8, 16, 32, 64, 128)]
-    fit = decay_fit(entries, window=(16, 128))
-    assert fit.window == (16, 128)
+    assert decay_fit(entries).window == (8, 128)  # the window is the whole series
     with pytest.raises(ValueError):
-        decay_fit(entries, window=(100, 128))
+        decay_fit(entries[:3])
 
 
 # -- domination witnesses -----------------------------------------------------
@@ -222,7 +221,7 @@ def test_alternating_harmonic_sum():
     )
     assert abs(sums.final.real + math.log(2)) < 1e-3
     assert abs(sums.final.imag) < 1e-9
-    assert sums.lengths[-1] == 1024
+    assert sums.entries[-1][0] == 1024
 
 
 def test_unit_return_times_weights_match_unweighted():
@@ -243,6 +242,8 @@ def test_return_times_weights_match_the_orbit_scalars():
     gs = [random_mean_zero(system, 1), random_mean_zero(system, 2)]
     w = ReturnTimesWeights(system, 3, tuple(gs), (1, 2)).sequence(4096)
     assert w.tobytes() == _orbit_scalars(system, gs, ExponentVector((1, 2)), 3, 4096).tobytes()
+    with pytest.raises(ValueError, match="one companion observable per step"):
+        ReturnTimesWeights(system, 3, tuple(gs[:1]), (1, 2)).sequence(8)
 
 
 def test_hilbert_criterion_accepts_decaying_averages():

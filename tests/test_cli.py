@@ -213,16 +213,21 @@ def test_check_inputs_are_read_or_refused(tmp_path, capsys, argv, reason):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--op", "ww", "--system", "cyclic:13", "--f", "random"],
-    ["--op", "ww", "--system", "cyclic:13", "--f", "random:x"],
-    ["--op", "ww", "--system", "cyclic:13", "--f", "character"],
-    ["--op", "mrec", "--system", "cyclic:13", "--extra", "[1]"],
-    ["--config", "list.json"],
+    ["run", "--op", "ww", "--system", "cyclic:13", "--f", "random"],
+    ["run", "--op", "ww", "--system", "cyclic:13", "--f", "random:x"],
+    ["run", "--op", "ww", "--system", "cyclic:13", "--f", "character"],
+    ["run", "--op", "mrec", "--system", "cyclic:13", "--extra", "[1]"],
+    ["run", "--config", "list.json"],
+    ["run", "--op", "hilbert", "--system", "cyclic:13", "--sigma", "2", "--N", "8"],  # refused by the library
+    ["run", "--op", "mrec_sup", "--system", "cyclic:13"],  # polyphase at degree 1
+    ["selftest", "--criteria", "99"],
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, argv):
     (tmp_path / "list.json").write_text("[1, 2]")
     argv = [str(tmp_path / a) if a == "list.json" else a for a in argv]
-    assert main(["run", *argv, "--no-cache", "--out", str(tmp_path)]) == 2
+    if argv[0] == "run":
+        argv += ["--no-cache", "--out", str(tmp_path)]
+    assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
 
 
@@ -242,6 +247,84 @@ def test_check_budget_reaches_the_maximal_check(tmp_path, capsys):
 def test_budget_reaches_every_op(tmp_path, capsys, argv):
     assert main(["run", *argv, "--budget", "1", "--no-cache", "--out", str(tmp_path)]) == 2
     assert "budget refusal" in capsys.readouterr().err
+
+
+_ROW_KEYS = {"N", "lower", "upper"}
+_BOXSWEEP = '{"k_values": [1, 2], "H_max": 3, "q_max": 6}'
+
+
+# every op but check (tested above) on cyclic:13: its flags, row keys and summary keys
+_OP_RUNS = {
+    "ww": (["--k", "2", "--N", "16,32"], _ROW_KEYS, set()),
+    "weak_ww": (["--k", "2", "--N", "16,32"], _ROW_KEYS, set()),
+    "offdiag": (["--k", "2", "--f", "random:1", "--f", "random:2", "--N", "16"], _ROW_KEYS, set()),
+    "mrec": (["--k", "2", "--N", "8,16"], _ROW_KEYS | {"method"}, set()),
+    "polyphase": (["--degree", "2", "--N", "4,8"], _ROW_KEYS, set()),
+    "return_times": (["--system-b", "cyclic:7", "--N", "8,16"], _ROW_KEYS, {"x_point"}),
+    "hilbert": (["--x", "3", "--N", "8,16", "--extra", '{"phase_t": [0.5]}'], _ROW_KEYS | {"re", "im"}, {"sigma"}),
+    "decay": (["--N", "8,16,32,64"], _ROW_KEYS, {"fit"}),
+    "precsim": (["--f", "random:1", "--f", "random:2", "--N", "8,16,32"], _ROW_KEYS | {"side"}, {"witness"}),
+    "boxsweep": (["--extra", _BOXSWEEP], {"k", "H", "q", "p", "exact", "brute", "bound_lhs", "bound_rhs", "slack"},
+                 {"rows", "mismatches", "verdict"}),
+}
+
+
+def _cached_records(out_dir):
+    return [json.loads(path.read_text()) for path in sorted((out_dir / "cache").glob("*.json"))]
+
+
+def test_every_op_has_a_run_case():
+    assert set(_OP_RUNS) == set(cli._OPS) - {"check"}
+
+
+@pytest.mark.parametrize("op", sorted(_OP_RUNS))
+def test_every_op_runs_from_the_command_line(tmp_path, op):
+    flags, row_keys, summary_keys = _OP_RUNS[op]
+    assert main(["run", "--op", op, "--system", "cyclic:13", *flags, "--out", str(tmp_path)]) == 0
+    [record] = _cached_records(tmp_path)
+    assert record["rows"] and {key for row in record["rows"] for key in row} == row_keys
+    assert set(record["summary"]) == summary_keys
+
+
+def test_boxsweep_subcommand_matches_the_run_op(tmp_path):
+    assert main(["boxsweep", "--k-values", "1,2", "--H-max", "3", "--q-max", "6", "--out", str(tmp_path / "a")]) == 0
+    assert main(["run", "--op", "boxsweep", "--extra", _BOXSWEEP, "--out", str(tmp_path / "b")]) == 0
+    [a], [b] = _cached_records(tmp_path / "a"), _cached_records(tmp_path / "b")
+    assert a["rows"] and a["rows"] == b["rows"]
+
+
+def test_sweep_runs_every_seed_and_order(tmp_path, capsys):
+    argv = ["sweep", "--op", "ww", "--system", "cyclic:13", "--N", "16", "--seeds", "1,2", "--k-values", "1,2"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.count("== seed") == 4
+    assert sorted((r["config"]["seed"], r["config"]["k"]) for r in _cached_records(tmp_path)) == \
+        [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+
+def _walk(system, y, a, N):
+    """T^{a n} y for n = 1..N, found by walking the forward map."""
+    orbit = [y]
+    while (z := int(system.forward[orbit[-1]])) != y:
+        orbit.append(z)
+    return [orbit[(a * n) % len(orbit)] for n in range(1, N + 1)]
+
+
+def test_hilbert_return_weights_take_every_companion_step():
+    base, companion = cyclic_shift(13), cyclic_shift(7)
+    f, g = random_mean_zero(base, 1), random_mean_zero(companion, 9)
+
+    def rows(steps):
+        weights = {"g": _random(9)[0], "y_point": 5, "steps": steps}
+        return run_experiment(ExperimentConfig(
+            op="hilbert", system=_CYCLE_13, system_b={"kind": "cyclic_shift", "p": 7}, functions=_random(1),
+            x_point=3, schedule=list(range(1, 9)), extra={"return_weights": weights})).rows
+
+    w = g.values[_walk(companion, 5, 1, 8)]  # multiplied as an orbit product is: the first factor, then *= the next
+    w *= g.values[_walk(companion, 5, 2, 8)]
+    expected = np.cumsum(w * f.values[_walk(base, 3, 1, 8)] / np.arange(1.0, 9) ** 1.0)
+    got = rows([1, 2])
+    assert [complex(r["re"], r["im"]) for r in got] == expected.tolist()
+    assert got != rows([1])
 
 
 def test_record_content_ignores_wall_time():

@@ -24,7 +24,6 @@ from wwlab.recurrence import (
 )
 from wwlab.supbrackets import _grid_sup_rows, sup_modulated_average, sup_polyphase
 from wwlab.systems import (
-    FiniteSystem,
     character_observable,
     constant_observable,
     cyclic_shift,
@@ -57,9 +56,7 @@ def test_multiple_recurrence_matches_inline_sum():
     avg = acc / N
     exps = ExponentVector((1, -2))
     got2 = multiple_recurrence_average(system, [f1, f2], exps, N)
-    got1 = multiple_recurrence_average(system, [f1, f2], exps, N, norm_p=1)
     assert got2 == pytest.approx(math.sqrt(np.mean(np.abs(avg) ** 2)), rel=1e-12)
-    assert got1 == pytest.approx(np.mean(np.abs(avg)), rel=1e-12)
 
 
 def test_multiple_recurrence_validation():
@@ -67,17 +64,6 @@ def test_multiple_recurrence_validation():
     f = constant_observable(system)
     with pytest.raises(ValueError):
         multiple_recurrence_average(system, [f], ExponentVector((1, 2)), 4)
-    with pytest.raises(ValueError):
-        multiple_recurrence_average(system, [f], ExponentVector((1,)), 4, norm_p=3)
-
-
-def test_multiple_recurrence_checks_norm_p_before_the_loop(monkeypatch):
-    calls = []
-    monkeypatch.setattr(FiniteSystem, "orbit_product", lambda *a, **kw: calls.append(a))
-    system = cyclic_shift(5)
-    with pytest.raises(ValueError, match="norm_p"):
-        multiple_recurrence_average(system, [constant_observable(system)], ExponentVector((1,)), 4, norm_p=3)
-    assert calls == []
 
 
 @pytest.mark.parametrize("chunk", [5 * 37, 36])
@@ -86,9 +72,9 @@ def test_multiple_recurrence_chunks_match_one_chunk(monkeypatch, chunk):
     system = random_permutation(37, 2)
     fs = [random_mean_zero(system, 1), random_mean_zero(system, 2)]
     exps = ExponentVector((1, -3))
-    whole = [multiple_recurrence_average(system, fs, exps, 24, p) for p in (1, 2)]
+    whole = multiple_recurrence_average(system, fs, exps, 24)
     monkeypatch.setattr(recurrence, "_POINT_CHUNK_BUDGET", chunk)
-    assert [multiple_recurrence_average(system, fs, exps, 24, p) for p in (1, 2)] == whole
+    assert multiple_recurrence_average(system, fs, exps, 24) == whole
 
 
 def test_multiple_recurrence_streams_count_chunks():
@@ -463,18 +449,18 @@ def test_uniform_bracket_memo_hit_is_a_fresh_copy(monkeypatch):
 
 
 @pytest.mark.parametrize("change", [{"seed": 1}, {"max_cycles": 3}, {"restarts": 1},
-                                    {"tol": 1e-6}, {"real_signs": True}, {"N": 15}])
+                                    {"k": 2}, {"real_signs": True}, {"N": 15}])
 def test_uniform_bracket_memo_keys_every_argument(monkeypatch, change):
     system = cyclic_shift(8)
     f = random_mean_zero(system, 5)
-    args = {"N": 16, "restarts": 2, "seed": 0, "tol": 1e-9, "max_cycles": 60, "real_signs": False}
-    base = uniform_mrec_bracket(system, f, 1, **args)
+    args = {"k": 1, "N": 16, "restarts": 2, "seed": 0, "max_cycles": 60, "real_signs": False}
+    base = uniform_mrec_bracket(system, f, **args)
     sweeps = _counting_sweeps(monkeypatch)
     args.update(change)
-    got = uniform_mrec_bracket(system, f, 1, **args)
+    got = uniform_mrec_bracket(system, f, **args)
     assert sweeps  # recomputed, not served from the memo
     assert len(recurrence.memo) == 2
-    assert base.trace != got.trace or change == {"tol": 1e-6}
+    assert base.trace != got.trace
 
 
 def test_uniform_bracket_memo_keeps_the_budget_guard():

@@ -38,12 +38,6 @@ def test_bracket_invariants():
         Bracket(2.0, 1.0, ())
 
 
-def test_bracket_exact():
-    b = Bracket.exact(4.0)
-    assert b.width == 0.0
-    assert b.lower == b.upper == 4.0
-
-
 def test_constant_sequence_sup_is_one():
     # |1/N sum e(nt)| peaks at t=0 with value exactly 1
     br = sup_modulated_average(np.ones(16))
@@ -94,13 +88,6 @@ def test_norm_trig_rejects_non_hermitian():
 def test_norm_trig_constant_is_exact():
     br = sup_norm_trig([7.25])
     assert br.lower == br.upper == 7.25
-
-
-def test_polyphase_degree_zero_exact():
-    u = np.array([1.0, -2.0, 0.5, 3.0])
-    br = sup_polyphase(u, 0)
-    assert br.width == 0.0
-    assert br.lower == pytest.approx(abs(np.mean(u)), abs=1e-14)
 
 
 def test_polyphase_degree_one_matches_linear_sup():

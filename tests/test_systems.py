@@ -288,6 +288,19 @@ def test_ghk_seminorm_single_shift():
     assert abs(ghk_seminorm(system, f, 2, 1) - expected) < 1e-12
 
 
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_ghk_seminorm_of_polynomial_phases_at_orders_3_and_4(p):
+    # e(x^2/p) has U2 = p^(-1/4) and U3 = 1; e(x^3/p) has U3 = ((2p - 1)/p^2)^(1/8) and U4 = 1
+    system = cyclic_shift(p)
+    x = np.arange(p)
+    quadratic = Observable(np.exp(2j * np.pi * (x**2 % p) / p))
+    cubic = Observable(np.exp(2j * np.pi * (x**3 % p) / p))
+    assert ghk_seminorm(system, quadratic, 2, p) == pytest.approx(p ** -0.25, rel=1e-12)
+    assert ghk_seminorm(system, quadratic, 3, p) == pytest.approx(1.0, rel=1e-12)
+    assert ghk_seminorm(system, cubic, 3, p) == pytest.approx(((2 * p - 1) / p**2) ** 0.125, rel=1e-12)
+    assert ghk_seminorm(system, cubic, 4, p) == pytest.approx(1.0, rel=1e-12)
+
+
 def test_ghk_seminorm_rejects_low_order():
     system = cyclic_shift(7)
     with pytest.raises(ValueError):
