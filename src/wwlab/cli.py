@@ -243,6 +243,16 @@ def _build_function(spec: dict, system, label: str):
     raise ConfigError(f"{label}: unknown function kind {kind!r}")
 
 
+def _extra_list(extra: dict, key: str, default, label: str = "extra"):
+    """``extra[key]``, which JSON must give as a list, or ``default`` when it is absent."""
+    if key not in extra:
+        return default
+    value = extra[key]
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{label} key {key!r} must be a list, not {value!r}")
+    return value
+
+
 def _resolve_scene(config: ExperimentConfig):
     """Build the working system and observables for an operation that needs a system."""
     if not config.system:
@@ -354,8 +364,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1, budget=None) -> R
     elif op in ("polyphase", "return_times", "hilbert"):
         # orbit products prod_j f_j o T^{a_j n}, one exponent per function
         system, sys_y, functions = _resolve_scene(config)
-        exponents = ExponentVector(tuple(config.extra.get("exponents",
-                                                          range(1, len(functions) + 1))))
+        exponents = ExponentVector(tuple(_extra_list(config.extra, "exponents", range(1, len(functions) + 1))))
         if op == "polyphase":
             out = [(N, polyphase_mrec_sup(system, functions, exponents, config.degree, N,
                                           config.oversample, budget=budget))
@@ -366,7 +375,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1, budget=None) -> R
                 raise ConfigError("op 'return_times' needs 'system' (base) and 'system_b' (companion)")
             g_spec = config.extra.get("g", {"kind": "random", "seed": config.seed + 1})
             g = _build_function(g_spec, sys_y, "extra.g")
-            poly = [int(c) for c in config.extra.get("poly", [0, 1])]
+            poly = [int(c) for c in _extra_list(config.extra, "poly", [0, 1])]
             for N in config.schedule:
                 obs = return_times_average(sys_y, g, poly, system, functions, exponents,
                                            config.x_point, N, budget)
@@ -376,14 +385,14 @@ def run_experiment(config: ExperimentConfig, threads: int = 1, budget=None) -> R
         else:
             weights = None
             if "phase_t" in config.extra:
-                weights = PhaseWeights(tuple(float(t) for t in config.extra["phase_t"]))
+                weights = PhaseWeights(tuple(float(t) for t in _extra_list(config.extra, "phase_t", ())))
             elif "return_weights" in config.extra:
                 rw = config.extra["return_weights"]
                 if sys_y is None:
                     raise ConfigError("return-time weights need 'system_b'")
                 g = _build_function(rw.get("g", {"kind": "random", "seed": config.seed + 1}),
                                     sys_y, "extra.return_weights.g")
-                steps = tuple(rw.get("steps", (1,)))
+                steps = tuple(_extra_list(rw, "steps", (1,), "extra.return_weights"))
                 weights = ReturnTimesWeights(sys_y, int(rw.get("y_point", 0)), (g,) * len(steps), steps)
             sums = hilbert_partial_sums(system, config.x_point, functions, exponents,
                                         config.sigma, config.schedule[-1], weights, budget=budget)
@@ -398,7 +407,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1, budget=None) -> R
         summary, rows = _run_check(config, threads, budget)
 
     elif op == "boxsweep":
-        k_values = tuple(config.extra.get("k_values", (1, 2, 3)))
+        k_values = tuple(_extra_list(config.extra, "k_values", (1, 2, 3)))
         H_max = int(config.extra.get("H_max", 5))
         q_max = int(config.extra.get("q_max", 15))
         mismatches = 0

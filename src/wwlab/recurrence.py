@@ -16,20 +16,28 @@ y in Y, 1 <= n <= N}, as a dense |R_Y| x 16 array.  That is at most
 (l + 1) N + 15 rows where the labels follow the orbits (a cycle in natural
 order) and at most 16 N rows in general, so the kernel holds at most
 M min(M, 16 N) entries and no M x M array exists; when R_Y covers every
-point the same code runs full-height slabs.  Each slab gathers the orbits
-of its own columns, so a fill's scratch is 16 x N.  K_l is filled once per
-call for k = 1; for k >= 2 the slab structure of each companion (rows, bins
-and orbit tables) is gathered once per call and only the values are
-refilled every cycle.  A is kept up to date rather than recomputed: per
-block, one product gives every ascent direction of the block from A on
-R_Y, a scalar loop applies the updates in natural order, coupled only
-through the block's Gram matrix, and one product pushes the block's
-changes into A on R_Y.  The Gram rows below the diagonal, and the real
-diagonal, are turned into Python numbers once per kernel fill (once per
-call for k = 1), so the scalar loop reads them directly on every sweep.
-The iterates are those of the plain one-coordinate-at-a-time sweep, up to
-rounding.  Tiny instances can be solved exactly over the real-sign class
-by enumeration.
+point the same code runs full-height slabs.  The slabs of one kernel are
+stacked in one zero-padded (slabs, max |R_Y|, 16) array and each slab is a
+view of it.  Each slab gathers the orbits of its own columns, so a fill's
+scratch is 16 x N.  K_l is filled once per call for k = 1; for k >= 2 the
+slab structure of each companion (rows, bins and orbit tables) is gathered
+once per call and only the values are refilled every cycle.  A is kept up
+to date rather than recomputed: per block, one product gives every ascent
+direction of the block from A on R_Y, a scalar loop applies the updates in
+natural order, coupled only through the block's Gram matrix, and one
+product pushes the block's changes into A on R_Y.  The Gram rows below the
+diagonal, and the real diagonal, are turned into Python numbers once per
+kernel fill (once per call for k = 1), so the scalar loop reads them
+directly on every sweep.  The iterates are those of the plain
+one-coordinate-at-a-time sweep, up to rounding.
+
+For k = 1 with complex companions the sweeps are a polish: every start
+first runs a power phase, g <- phase(K^H W K g) with momentum, all starts
+at once as the columns of one matrix, through one stacked product with
+the slabs per direction (see :func:`_power_phase`).  A power step never
+lowers the objective, and its cost does not grow with a Python loop over
+points.  Tiny instances can be solved exactly over the real-sign class by
+enumeration.
 
 Results are memoised per process (see :mod:`wwlab._util`): a repeated
 call with the same system map and weights, observable values and numeric
@@ -91,9 +99,13 @@ class MrecBracket:
     ``lower`` is always attained by the reported witnesses; ``upper`` is the
     triangle-inequality cap ||f||_2 unless brute-force enumeration closed
     the gap (then the two endpoints agree on the searched class).
-    ``converged`` says whether the reported restart stopped on _ASCENT_TOL
-    rather than at ``max_cycles`` (always true for brute force, which is
-    exact).  It is diagnostic only: CLI rows and cache records omit it.
+    ``trace`` holds the reported restart's objective before its first sweep
+    and after each sweep cycle; at k = 1 with complex companions
+    ``trace[0]`` is the objective the power phase reached.  ``converged``
+    says whether the reported restart's sweeps stopped on _ASCENT_TOL
+    rather than at ``max_cycles``, which bounds the sweep cycles only
+    (always true for brute force, which is exact).  It is diagnostic only:
+    CLI rows and cache records omit it.
     """
 
     lower: float
@@ -142,38 +154,68 @@ def multiple_recurrence_average(
 # -- uniform version ---------------------------------------------------------
 
 _SLAB = 16  # columns per kernel slab: the coordinates of one Gauss-Seidel block
+_MOMENTUM = 0.9  # weight of the last move in the power phase's momentum step
+_POWER_STEPS = 1000  # power steps per restart at most
 
 
-def _slab_layout(system: FiniteSystem, k: int, l: int, N: int):
+def _slab_rows(system: FiniteSystem, l: int, N: int) -> list:
+    """R_Y = {T^{-(l+1) n} y : y in Y, 1 <= n <= N} in increasing order, per slab Y.
+
+    Slab Y covers _SLAB consecutive columns y; every other entry of those
+    columns of K_l is zero.
+    """
+    n = np.arange(1, N + 1)
+    rows = []
+    for s in range(0, system.size, _SLAB):
+        reach = np.sort(system.orbit_indices(np.arange(s, min(s + _SLAB, system.size))[:, None], -(l + 1), n),
+                        axis=None)
+        rows.append(reach[np.diff(reach, prepend=-1) > 0])
+    return rows
+
+
+def _slab_layout(system: FiniteSystem, k: int, l: int, N: int, rows: list):
     """The fixed structure of the column slabs of K_l, one slab at a time.
 
-    Slab Y covers _SLAB consecutive columns y and only the rows they reach,
-    R_Y = {T^{-(l+1) n} y : y in Y, 1 <= n <= N} in increasing order; every
-    other entry of those columns is zero.  Yields R_Y, w[R_Y], the local bin
-    (row in R_Y) |Y| + (y - start) of each term, y-major and n increasing,
-    and the orbit tables the terms read: T^{(k-l) n} y for f, then
-    T^{(j-l) n} y for each companion j != l.  Each slab gathers the orbits
-    of its own columns, so a slab's tables are |Y| x N; bins and tables are
-    int32 (16 M < 2**31 on any system whose kernel fits in memory), which
-    halves the layouts a call at k >= 2 keeps.
+    Yields, per slab Y with rows R_Y (from :func:`_slab_rows`), the local
+    bin (row in R_Y) |Y| + (y - start) of each term, y-major and n
+    increasing, and the orbit tables the terms read: T^{(k-l) n} y for f,
+    then T^{(j-l) n} y for each companion j != l.  Each slab gathers the
+    orbits of its own columns, so a slab's tables are |Y| x N; bins and
+    tables are int32 (16 M < 2**31 on any system whose kernel fits in
+    memory), which halves the layouts a call at k >= 2 keeps.
     """
     n = np.arange(1, N + 1)
     local = np.empty(system.size, dtype=np.intp)  # row in R_Y, for the points of R_Y
-    for s in range(0, system.size, _SLAB):
+    steps = [k - l] + [j - l for j in range(k) if j != l]  # f's first, then the other companions'
+    for s, r in zip(range(0, system.size, _SLAB), rows):
         y = np.arange(s, min(s + _SLAB, system.size))[:, None]
-        reach = system.orbit_indices(y, -(l + 1), n)
-        rows = np.sort(reach, axis=None)
-        rows = rows[np.diff(rows, prepend=-1) > 0]
-        local[rows] = np.arange(len(rows))
-        bins = (local[reach] * len(y) + np.arange(len(y))[:, None]).ravel().astype(np.int32)
-        steps = [k - l] + [j - l for j in range(k) if j != l]  # f's first, then the other companions'
-        tables = [system.orbit_indices(y, a, n).astype(np.int32) for a in steps]
-        # complex weights: w * A then multiplies without casting w, to the same values
-        yield rows, system.weights[rows].astype(np.complex128), bins, tables
+        local[r] = np.arange(len(r))
+        bins = local[system.orbit_indices(y, -(l + 1), n)] * len(y) + np.arange(len(y))[:, None]
+        yield bins.ravel().astype(np.int32), [system.orbit_indices(y, a, n).astype(np.int32) for a in steps]
 
 
-def _fill_slabs(layout, f: Observable, g_list, l: int, N: int) -> list:
-    """Slabs (R_Y, w[R_Y], K_l[R_Y, Y]) of A = K_l g_l, other companions frozen.
+def _stack_slabs(system: FiniteSystem, rows: list):
+    """A zero kernel with the slab rows ``rows``, and the slabs (R_Y, w[R_Y], S) viewing it.
+
+    The slabs are stacked in one (slabs, max |R_Y|, _SLAB) array, zero
+    beyond each slab's |R_Y| x |Y| corner, so a product with every slab at
+    once is one stacked matmul; each S is its slab's corner, row-major.
+    """
+    M = system.size
+    data = np.zeros((len(rows), max(map(len, rows)), _SLAB), dtype=np.complex128)
+    # complex weights: w * A then multiplies without casting w, to the same values
+    slabs = [(r, system.weights[r].astype(np.complex128), data[i, :len(r), :min(_SLAB, M - s)])
+             for i, (s, r) in enumerate(zip(range(0, M, _SLAB), rows))]
+    return data, slabs
+
+
+def _fill_slabs(slabs, layout, f: Observable, g_list, l: int, N: int) -> list:
+    """Fill the slabs S of A = K_l g_l in place, other companions frozen.
+
+    Returns the slabs for the sweeps, each S C-contiguous: a last slab
+    narrower than _SLAB is a strided view of the stacked array, and a
+    strided one-column slab takes another BLAS path than a contiguous one,
+    which moves the last bits, so it is copied.
 
     Entry (T^{-(l+1) n} y, y) sums f(T^{(k-l) n} y) prod_{j != l} g_j(T^{(j-l) n} y) / N
     over n = 1..N in increasing order, so repeated entries, where N exceeds
@@ -184,8 +226,7 @@ def _fill_slabs(layout, f: Observable, g_list, l: int, N: int) -> list:
     """
     others = g_list[:l] + g_list[l + 1:]
     scale = 1.0 / N
-    slabs = []
-    for rows, w, bins, (f_table, *tables) in layout:
+    for (_, _, S), (bins, (f_table, *tables)) in zip(slabs, layout):
         b = f.values[f_table]
         for g, tbl in zip(others, tables):
             # not b * g[tbl]: numpy may reuse the temporary g[tbl] and swap the
@@ -194,14 +235,12 @@ def _fill_slabs(layout, f: Observable, g_list, l: int, N: int) -> list:
         # row-major: each entry of c = S^H W A and of S d is then one dot product,
         # which OpenBLAS computes whole at any thread count (column-major S d is
         # split between threads by rows, which moves its last bits)
-        S = np.empty((len(rows), len(b)), dtype=np.complex128)
         # b / N divides by N + 0j, which numpy does as (re + im 0) (1 / N) and
         # (im - re 0) (1 / N): each part times 1 / N up to the sign of a zero,
         # which the bincount's +0.0 start erases
         S.real = np.bincount(bins, (b.real * scale).ravel(), S.size).reshape(S.shape)
         S.imag = np.bincount(bins, (b.imag * scale).ravel(), S.size).reshape(S.shape)
-        slabs.append((rows, w, S))
-    return slabs
+    return [(rows, w, np.ascontiguousarray(S)) for rows, w, S in slabs]
 
 
 def _kernel_apply(slabs, g) -> np.ndarray:
@@ -210,6 +249,81 @@ def _kernel_apply(slabs, g) -> np.ndarray:
     for s, (rows, _, S) in zip(range(0, len(g), _SLAB), slabs):
         A[rows] += S.dot(g[s:s + S.shape[1]])
     return A
+
+
+def _phase(z, keep) -> np.ndarray:
+    """z / |z| entrywise, or ``keep`` where |z| is at most 1e-300 (as the sweep does)."""
+    mag = np.abs(z)
+    return np.divide(z, mag, out=keep.copy(), where=mag > 1e-300)
+
+
+def _power_phase(data, rows, w, G) -> None:
+    """Generalized power ascent with momentum on every column g of G, in place.
+
+    The objective g^H K^H W K g is convex, so the power step g <- phase(c),
+    c = K^H W K g, never lowers it (Journee, Nesterov, Richtarik and
+    Sepulchre, JMLR 2010).  A column tries the momentum step
+    phase(c + _MOMENTUM |c| (g - g_prev)) first; where that would lower
+    its objective it takes the power step instead, which also drops its
+    momentum.  A column stops once a step raises its objective by at most
+    _ASCENT_TOL, relative, or after _POWER_STEPS steps.  ``data`` holds
+    the kernel's slabs stacked as :func:`_stack_slabs` makes them, so each
+    direction of a step is one stacked product over the columns still
+    moving, and K g goes back from slab rows to points by bincounts.
+    """
+    M = G.shape[0]
+    nslab, height, width = data.shape
+    pad = np.full((nslab, height), M)  # pad rows read and write point M, which stays zero
+    for i, r in enumerate(rows):
+        pad[i, :len(r)] = r
+    w = np.append(w, 0.0)[:, None]
+
+    def apply(X):  # K X, with the zero row M below
+        n = X.shape[1]
+        Xs = np.zeros((nslab * width, n), dtype=np.complex128)
+        Xs[:M] = X
+        P = np.matmul(data, Xs.reshape(nslab, width, n)).reshape(-1, n)
+        A = np.empty((M + 1, n), dtype=np.complex128)
+        for j in range(n):  # one bincount per part of each column, over the slab rows
+            A[:, j].real = np.bincount(pad.ravel(), P[:, j].real, M + 1)
+            A[:, j].imag = np.bincount(pad.ravel(), P[:, j].imag, M + 1)
+        return A
+
+    def ascent(A):  # K^H W A from (W A)^H S per slab: no conjugate copy of the slabs
+        V = (w * A)[pad]
+        c = np.matmul(np.conj(V, out=V).transpose(0, 2, 1), data)
+        return np.conj(c.transpose(0, 2, 1)).reshape(nslab * width, -1)[:M]
+
+    def objective(A):
+        return (w * (A.real ** 2 + A.imag ** 2)).sum(axis=0)
+
+    live = np.arange(G.shape[1])
+    g = G.copy()
+    A = apply(g)
+    obj = objective(A)
+    last = g  # g_prev: the first step has no momentum
+    for _ in range(_POWER_STEPS):
+        c = ascent(A)
+        y = _phase(c + _MOMENTUM * np.abs(c) * (g - last), g)
+        Ay = apply(y)
+        new = objective(Ay)
+        back = new < obj
+        if back.any():
+            y[:, back] = _phase(c[:, back], g[:, back])
+            Ay[:, back] = apply(y[:, back])
+            new[back] = objective(Ay[:, back])
+        stay = new < obj  # a power step lowers the objective only by rounding, at a fixed point
+        if stay.any():
+            y[:, stay], Ay[:, stay], new[stay] = g[:, stay], A[:, stay], obj[stay]
+        moving = new - obj > _ASCENT_TOL * np.maximum(1.0, obj)
+        last = np.where(back, y, g)
+        g, A, obj = y, Ay, new
+        if not moving.all():
+            G[:, live[~moving]] = g[:, ~moving]
+            live, g, A, obj, last = live[moving], g[:, moving], A[:, moving], obj[moving], last[:, moving]
+            if not live.size:
+                return
+    G[:, live] = g
 
 
 def _block_grams(slabs) -> list:
@@ -268,7 +382,8 @@ def uniform_mrec_bracket(
 ) -> MrecBracket:
     """Maximize the order-k recurrence norm over companions bounded by 1.
 
-    Alternating maximization from seeded starts (plus the all-ones start);
+    Alternating maximization from seeded starts (plus the all-ones start),
+    at k = 1 with complex companions after a power phase from every start;
     the per-sweep objective trace is monotone by construction.  Restarts
     that tie up to a relative 1e-12 report the earliest one.  With
     ``brute_force`` the real-sign class {-1, +1}^points per companion is
@@ -337,17 +452,27 @@ def _ascent_bracket(system, f, k, N, restarts, seed, max_cycles, real_signs) -> 
     best_g = None
     best_trace: list = []
     best_converged = False
-    # k = 1 fills once, so its layout streams slab by slab; k >= 2 refills every cycle
-    layouts = [list(_slab_layout(system, k, l, N)) for l in range(k)] if k > 1 else [_slab_layout(system, 1, 0, N)]
-    for attempt in range(restarts + 1):
-        if attempt == 0:
-            g_list = [np.ones(M, dtype=np.complex128) for _ in range(k)]
-        elif real_signs:
-            g_list = [np.where(rng.random(M) < 0.5, -1.0, 1.0).astype(np.complex128) for _ in range(k)]
+    # the all-ones start, then the seeded starts in the order they are drawn
+    starts = [[np.ones(M, dtype=np.complex128) for _ in range(k)]]
+    for _ in range(restarts):
+        if real_signs:
+            starts.append([np.where(rng.random(M) < 0.5, -1.0, 1.0).astype(np.complex128) for _ in range(k)])
         else:
-            g_list = [np.exp(2j * np.pi * rng.random(M)) for _ in range(k)]
-        if attempt == 0 or k > 1:  # for k = 1 the kernel never changes
-            slabs = _fill_slabs(layouts[0], f, g_list, 0, N)
+            starts.append([np.exp(2j * np.pi * rng.random(M)) for _ in range(k)])
+    rows = [_slab_rows(system, l, N) for l in range(k)]
+    kernels = [_stack_slabs(system, r) for r in rows]  # one per companion, refilled in place
+    if k == 1:  # the kernel never changes, so its layout streams slab by slab
+        slabs = _fill_slabs(kernels[0][1], _slab_layout(system, 1, 0, N, rows[0]), f, starts[0], 0, N)
+        grams = _block_grams(slabs)
+        if not real_signs:
+            G = np.stack([g for g, in starts], axis=1)
+            _power_phase(kernels[0][0], rows[0], w, G)
+            starts = [[g.copy()] for g in G.T]
+    else:
+        layouts = [list(_slab_layout(system, k, l, N, rows[l])) for l in range(k)]
+    for g_list in starts:
+        if k > 1:
+            slabs = _fill_slabs(kernels[0][1], layouts[0], f, g_list, 0, N)
             grams = _block_grams(slabs)
         A = _kernel_apply(slabs, g_list[0])
         obj = fsum((w * np.abs(A) ** 2).tolist())
@@ -356,7 +481,7 @@ def _ascent_bracket(system, f, k, N, restarts, seed, max_cycles, real_signs) -> 
         for cycle in range(max_cycles):
             for l in range(k):
                 if k > 1 and (cycle or l):
-                    slabs = _fill_slabs(layouts[l], f, g_list, l, N)
+                    slabs = _fill_slabs(kernels[l][1], layouts[l], f, g_list, l, N)
                     grams = _block_grams(slabs)
                 _sweep(slabs, grams, g_list[l], A, real_signs)
             obj_new = fsum((w * np.abs(A) ** 2).tolist())

@@ -171,8 +171,9 @@ fits = [decay_fit([(N, 2.5 * N ** -0.4 * (1 + 0.05 * math.sin(N))) for N in (8, 
                     [(n, n ** -0.5) for n in range(1, 129)])]
 print(hashlib.sha256(json.dumps(canon(checks + fits)).encode()).hexdigest())
 """
-# computed before the checks shared one row constructor and verdict rule
-_GOLDEN_DIGEST = "46b0b4e819d39bf8cad6663bf9c2ad854ea3965bfc3c1a75c58e9ebf1b3f9e42"
+# re-pinned when the first-order ascent gained its power phase, which moved
+# only the bourgain and reverse_bourgain rows, by about 1e-12 (CHANGES.md)
+_GOLDEN_DIGEST = "5e1d9d1cfc5ec1e862d19b87bbd8b674a72c615a6d7d34e4658667de6440763b"
 
 
 def test_check_outputs_match_the_golden_digest_at_one_and_two_blas_threads():

@@ -212,6 +212,21 @@ def test_check_inputs_are_read_or_refused(tmp_path, capsys, argv, reason):
     assert err.startswith("error:") and reason in err
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["polyphase", "--system", "cyclic:13", "--N", "8", "--extra", '{"exponents": 5}'], "'exponents'"),
+    (["boxsweep", "--extra", '{"k_values": 5}'], "'k_values'"),
+    (["hilbert", "--system", "cyclic:13", "--N", "8", "--extra", '{"phase_t": 0.5}'], "'phase_t'"),
+    (["return_times", "--system", "cyclic:13", "--system-b", "cyclic:5", "--N", "8",
+      "--extra", '{"poly": 3}'], "'poly'"),
+    (["hilbert", "--system", "cyclic:13", "--system-b", "cyclic:5", "--N", "8",
+      "--extra", '{"return_weights": {"steps": 1}}'], "return_weights key 'steps'"),
+])
+def test_scalar_extra_where_a_list_belongs_exits_2(tmp_path, capsys, argv, key):
+    assert main(["run", "--op", *argv, "--no-cache", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{key} must be a list" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "--op", "ww", "--system", "cyclic:13", "--f", "random"],
     ["run", "--op", "ww", "--system", "cyclic:13", "--f", "random:x"],

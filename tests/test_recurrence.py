@@ -170,34 +170,97 @@ def _oracle_objective(system, f, gs, k, N):
     return fsum((system.weights * np.abs(_oracle_average(system, f, gs, k, N)) ** 2).tolist())
 
 
-def _oracle_ascent(system, f, k, N, restarts=2, seed=0, tol=1e-9, max_cycles=60, real_signs=False):
-    """Plain one-coordinate-at-a-time ascent that rebuilds K and A every sweep.
-
-    Returns (objective, witnesses, trace) of every restart.
-    """
-    M, w = system.size, system.weights
+def _oracle_kernel(system, f, gs, k, l, N):
+    """K_l as a dense M x M array, one term at a time in increasing n."""
+    M = system.size
     tables = _step_tables(system, range(1, k + 1), N)
     f_table = _step_tables(system, [k + 1], N)[0]
+    K = np.zeros((M, M), dtype=np.complex128)
+    for n in range(N):
+        b = f.values[f_table[n]].copy()
+        for j in range(k):
+            if j != l:
+                b *= gs[j][tables[j][n]]
+        K[np.arange(M), tables[l][n]] += b / N
+    return K
+
+
+def _oracle_power_step(K, w, g, last, tol):
+    """One power-phase step of one restart on a dense K.
+
+    Returns the new g, whether it is a power step taken in place of the
+    momentum step (which drops the momentum), its objective, and whether
+    the restart stops there.
+    """
+
+    def objective(g):
+        return fsum((w * np.abs(K @ g) ** 2).tolist())
+
+    def phase(z, keep):
+        return np.array([zi / abs(zi) if abs(zi) > 1e-300 else gi for zi, gi in zip(z, keep)])
+
+    obj = objective(g)
+    c = K.conj().T @ (w * (K @ g))
+    y = phase(c + recurrence._MOMENTUM * np.abs(c) * (g - last), g)
+    new = objective(y)
+    back = new < obj
+    if back:  # the momentum step would lower the objective: the power step, without momentum
+        y = phase(c, g)
+        new = objective(y)
+    if new < obj:  # only by rounding, at a fixed point
+        return g, back, obj, True
+    return y, back, new, new - obj <= tol * max(1.0, obj)
+
+
+def _seeded_starts(M, k, restarts, seed, real_signs):
+    """The all-ones start, then the seeded ones in the order they are drawn."""
     rng = np.random.default_rng(seed)
-    runs = []
-    for attempt in range(restarts + 1):
-        if attempt == 0:
-            gs = [np.ones(M, dtype=np.complex128) for _ in range(k)]
-        elif real_signs:
-            gs = [np.where(rng.random(M) < 0.5, -1.0, 1.0).astype(np.complex128) for _ in range(k)]
+    starts = [[np.ones(M, dtype=np.complex128) for _ in range(k)]]
+    for _ in range(restarts):
+        if real_signs:
+            starts.append([np.where(rng.random(M) < 0.5, -1.0, 1.0).astype(np.complex128) for _ in range(k)])
         else:
-            gs = [np.exp(2j * np.pi * rng.random(M)) for _ in range(k)]
+            starts.append([np.exp(2j * np.pi * rng.random(M)) for _ in range(k)])
+    return starts
+
+
+def _first_order_kernel(system, f, N):
+    """The stacked slabs of K and their rows for k = 1, as the ascent fills them."""
+    rows = recurrence._slab_rows(system, 0, N)
+    data, slabs = recurrence._stack_slabs(system, rows)
+    ones = [np.ones(system.size, dtype=np.complex128)]
+    recurrence._fill_slabs(slabs, recurrence._slab_layout(system, 1, 0, N, rows), f, ones, 0, N)
+    return data, rows
+
+
+def _power_phase_of(system, f, N):
+    """The ascent's own power phase on every start at once, as the ascent runs it."""
+
+    def power(starts):
+        G = np.stack([g for g, in starts], axis=1)
+        recurrence._power_phase(*_first_order_kernel(system, f, N), system.weights, G)
+        return [[g.copy()] for g in G.T]
+
+    return power
+
+
+def _oracle_ascent(system, f, k, N, restarts=2, seed=0, tol=1e-9, max_cycles=60, real_signs=False, power=None):
+    """Plain one-coordinate-at-a-time ascent that rebuilds K and A every sweep.
+
+    At k = 1 with complex companions the sweeps begin where ``power`` takes
+    the starts.  Returns (objective, witnesses, trace) of every restart.
+    """
+    M, w = system.size, system.weights
+    starts = _seeded_starts(M, k, restarts, seed, real_signs)
+    if k == 1 and not real_signs:
+        starts = power(starts)
+    runs = []
+    for gs in starts:
         obj = _oracle_objective(system, f, gs, k, N)
         trace = [obj]
         for _ in range(max_cycles):
             for l, g in enumerate(gs):
-                K = np.zeros((M, M), dtype=np.complex128)
-                for n in range(N):
-                    b = f.values[f_table[n]].copy()
-                    for j in range(k):
-                        if j != l:
-                            b *= gs[j][tables[j][n]]
-                    K[np.arange(M), tables[l][n]] += b / N
+                K = _oracle_kernel(system, f, gs, k, l, N)
                 A = _oracle_average(system, f, gs, k, N)
                 col_sq = (w[:, None] * np.abs(K) ** 2).sum(axis=0)
                 for y in range(M):
@@ -272,7 +335,7 @@ def test_blocked_ascent_matches_per_coordinate_oracle(system, k, N, real_signs, 
     # 37, 40 and 70 span more than one Gauss-Seidel block
     f = random_mean_zero(system, 2)
     br = uniform_mrec_bracket(system, f, k, N, seed=4, real_signs=real_signs)
-    runs = _oracle_ascent(system, f, k, N, seed=4, real_signs=real_signs)
+    runs = _oracle_ascent(system, f, k, N, seed=4, real_signs=real_signs, power=_power_phase_of(system, f, N))
     obj, witnesses, trace = _earliest_best(runs)
     assert len(br.trace) == len(trace)
     assert np.allclose(br.trace, trace, rtol=1e-12, atol=0.0)
@@ -281,6 +344,40 @@ def test_blocked_ascent_matches_per_coordinate_oracle(system, k, N, real_signs, 
     assert free.any() == has_free
     for l, (got, want) in enumerate(zip(br.witnesses, witnesses)):
         assert np.max(np.abs(got - want)[~free[l]], initial=0.0) <= 1e-9
+
+
+@pytest.mark.parametrize("system, N", [
+    (cyclic_shift(7), 16),
+    (random_permutation(40, 3), 20),
+    (identity_system(6), 5),
+    (cyclic_shift(37), 30),
+], ids=["cyclic", "random", "identity", "blocks"])
+def test_power_phase_steps_match_dense_oracle(monkeypatch, system, N):
+    # every step of the stacked power phase, all starts at once, against one dense
+    # step from the same iterate; whole runs differ by more than rounding, since on
+    # random_permutation(40, 3) a step from the all-ones start can enlarge a
+    # difference 30-fold, and the runs end on maxima that differ by a common phase
+    f = random_mean_zero(system, 2)
+    M, w = system.size, system.weights
+    data, rows = _first_order_kernel(system, f, N)
+    K = _oracle_kernel(system, f, [np.ones(M)], 1, 0, N)
+    G0 = np.stack([g for g, in _seeded_starts(M, 1, 2, 4, False)], axis=1)
+    g, last = G0.copy(), G0.copy()
+    done = np.zeros(G0.shape[1], dtype=bool)
+    for t in range(1, recurrence._POWER_STEPS + 1):
+        monkeypatch.setattr(recurrence, "_POWER_STEPS", t)
+        G = G0.copy()
+        recurrence._power_phase(data, rows, w, G)  # the first t steps
+        for j in np.flatnonzero(~done):
+            y, back, obj, done[j] = _oracle_power_step(K, w, g[:, j], last[:, j], 1e-9)
+            assert np.max(np.abs(G[:, j] - y)) <= 1e-9
+            assert fsum((w * np.abs(K @ G[:, j]) ** 2).tolist()) == pytest.approx(obj, rel=1e-12)
+            last[:, j] = G[:, j] if back else g[:, j]
+            g[:, j] = G[:, j]  # go on from the stacked iterate
+        assert np.array_equal(G[:, done], g[:, done])  # a stopped restart stays where it stopped
+        if done.all():
+            break
+    assert done.all()
 
 
 def _whole_array_kernel(system, f, gs, k, l, N):
@@ -321,18 +418,24 @@ def test_blocked_fill_matches_whole_array_fill(monkeypatch, system, N, width, k)
         reach = _step_tables(system, [l + 1], N)[0]  # reach[n - 1, x] = T^{(l+1) n} x
         K = np.zeros((M, M), dtype=np.complex128)
         inside = np.zeros((M, M), dtype=bool)
-        slabs = recurrence._fill_slabs(recurrence._slab_layout(system, k, l, N), f, gs, l, N)
-        for s, (rows, w, S) in zip(range(0, M, width), slabs):
+        slab_rows = recurrence._slab_rows(system, l, N)
+        data, slabs = recurrence._stack_slabs(system, slab_rows)
+        recurrence._fill_slabs(slabs, recurrence._slab_layout(system, k, l, N, slab_rows), f, gs, l, N)
+        outside = data.copy()
+        for i, (s, (rows, w, S)) in enumerate(zip(range(0, M, width), slabs)):
             cols = np.arange(s, min(s + width, M))
             # the rows are exactly the points whose orbits reach the slab's columns
             assert np.array_equal(rows, np.flatnonzero(np.isin(reach, cols).any(axis=0)))
             assert np.array_equal(w, system.weights[rows])  # as complex numbers
+            assert np.shares_memory(S, data) and np.array_equal(S, data[i, :len(rows), :len(cols)])
             K[np.ix_(rows, cols)] = S
             inside[np.ix_(rows, cols)] = True
-        assert s + width >= M
+            outside[i, :len(rows), :len(cols)] = 0.0
+        assert s + width >= M and len(slabs) == len(data)
         oracle = _whole_array_kernel(system, f, gs, k, l, N)
         assert np.array_equal(K, oracle)
         assert not oracle[~inside].any()
+        assert not outside.any()  # the stacked products read zeros beyond every slab
 
 
 def _peak_bytes(fn, *args, **kwargs):
@@ -454,13 +557,16 @@ def test_uniform_bracket_memo_keys_every_argument(monkeypatch, change):
     system = cyclic_shift(8)
     f = random_mean_zero(system, 5)
     args = {"k": 1, "N": 16, "restarts": 2, "seed": 0, "max_cycles": 60, "real_signs": False}
-    base = uniform_mrec_bracket(system, f, **args)
-    sweeps = _counting_sweeps(monkeypatch)
+    uniform_mrec_bracket(system, f, **args)
+    calls = []
+    real_ascent = recurrence._ascent_bracket
+    monkeypatch.setattr(recurrence, "_ascent_bracket", lambda *a: calls.append(a) or real_ascent(*a))
+    uniform_mrec_bracket(system, f, **args)
+    assert not calls  # served from the memo
     args.update(change)
-    got = uniform_mrec_bracket(system, f, **args)
-    assert sweeps  # recomputed, not served from the memo
+    uniform_mrec_bracket(system, f, **args)
+    assert len(calls) == 1  # recomputed, not served from the memo
     assert len(recurrence.memo) == 2
-    assert base.trace != got.trace
 
 
 def test_uniform_bracket_memo_keeps_the_budget_guard():
@@ -476,13 +582,16 @@ def test_uniform_bracket_memo_keeps_the_budget_guard():
         uniform_mrec_bracket(small, g, 1, 12, brute_force=True, budget=1.0)
 
 
-def test_uniform_bracket_converged_flag():
+def test_uniform_bracket_converged_flag(monkeypatch):
     system = cyclic_shift(8)
     f = random_mean_zero(system, 5)
     done = uniform_mrec_bracket(system, f, 1, 16)
     assert done.converged and len(done.trace) - 1 < 60
+    # one power step leaves the sweeps more than two cycles from tol
+    monkeypatch.setattr(recurrence, "_POWER_STEPS", 1)
     capped = uniform_mrec_bracket(system, f, 1, 16, max_cycles=2)
     assert not capped.converged and len(capped.trace) == 3
+    assert capped.trace[-1] - capped.trace[-2] > recurrence._ASCENT_TOL * max(1.0, capped.trace[-2])
     small = cyclic_shift(4)
     assert uniform_mrec_bracket(small, random_mean_zero(small, 7), 1, 12, brute_force=True).converged
 
