@@ -226,6 +226,8 @@ def parse_schedule(text: str) -> list:
 
 
 def _build_function(spec: dict, system, label: str):
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{label} must be a JSON object, not {spec!r}")
     kind = spec.get("kind")
     if kind == "random":
         if system is None:
@@ -388,6 +390,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 1, budget=None) -> R
                 weights = PhaseWeights(tuple(float(t) for t in _extra_list(config.extra, "phase_t", ())))
             elif "return_weights" in config.extra:
                 rw = config.extra["return_weights"]
+                if not isinstance(rw, dict):
+                    raise ConfigError(f"extra.return_weights must be a JSON object, not {rw!r}")
                 if sys_y is None:
                     raise ConfigError("return-time weights need 'system_b'")
                 g = _build_function(rw.get("g", {"kind": "random", "seed": config.seed + 1}),

@@ -18,25 +18,28 @@ order) and at most 16 N rows in general, so the kernel holds at most
 M min(M, 16 N) entries and no M x M array exists; when R_Y covers every
 point the same code runs full-height slabs.  The slabs of one kernel are
 stacked in one zero-padded (slabs, max |R_Y|, 16) array and each slab is a
-view of it.  Each slab gathers the orbits of its own columns, so a fill's
-scratch is 16 x N.  K_l is filled once per call for k = 1; for k >= 2 the
-slab structure of each companion (rows, bins and orbit tables) is gathered
-once per call and only the values are refilled every cycle.  A is kept up
-to date rather than recomputed: per block, one product gives every ascent
-direction of the block from A on R_Y, a scalar loop applies the updates in
-natural order, coupled only through the block's Gram matrix, and one
-product pushes the block's changes into A on R_Y.  The Gram rows below the
-diagonal, and the real diagonal, are turned into Python numbers once per
-kernel fill (once per call for k = 1), so the scalar loop reads them
-directly on every sweep.  The iterates are those of the plain
-one-coordinate-at-a-time sweep, up to rounding.
+view of it.  A fill takes one group of consecutive whole slabs per pass:
+one gather per factor and one bincount per part, written straight into
+the stacked array, with scratch bounded by a fixed number of entries.
+K_l is filled once per call for k = 1, its groups streamed; for k >= 2
+the structure of each group of each companion (bins and orbit tables) is
+gathered once per call and only the values are refilled every cycle.  A
+is kept up to date rather than recomputed: per block, one product gives
+every ascent direction of the block from A on R_Y, a scalar loop applies
+the updates in natural order, coupled only through the block's Gram
+matrix, and one product pushes the block's changes into A on R_Y.  The
+Gram rows below the diagonal, and the real diagonal, are turned into
+Python numbers once per kernel fill (once per call for k = 1), so the
+scalar loop reads them directly on every sweep.  The iterates are those
+of the plain one-coordinate-at-a-time sweep, up to rounding.
 
 For k = 1 with complex companions the sweeps are a polish: every start
-first runs a power phase, g <- phase(K^H W K g) with momentum, all starts
-at once as the columns of one matrix, through one stacked product with
-the slabs per direction (see :func:`_power_phase`).  A power step never
-lowers the objective, and its cost does not grow with a Python loop over
-points.  Tiny instances can be solved exactly over the real-sign class by
+first runs a power phase, g <- phase(K^H W K g) with momentum, all live
+starts at once as the rows of one array, each product one matrix-vector
+product per slab and start, so a start's iterates do not depend on the
+other starts (see :func:`_power_phase`).  A power step never lowers the
+objective, and its cost does not grow with a Python loop over points.
+Tiny instances can be solved exactly over the real-sign class by
 enumeration.
 
 Results are memoised per process (see :mod:`wwlab._util`): a repeated
@@ -156,6 +159,7 @@ def multiple_recurrence_average(
 _SLAB = 16  # columns per kernel slab: the coordinates of one Gauss-Seidel block
 _MOMENTUM = 0.9  # weight of the last move in the power phase's momentum step
 _POWER_STEPS = 1000  # power steps per restart at most
+_GROUP_BUDGET = 1 << 15  # entries per group of slabs filled in one pass: terms, stacked entries, row map
 
 
 def _slab_rows(system: FiniteSystem, l: int, N: int) -> list:
@@ -173,25 +177,45 @@ def _slab_rows(system: FiniteSystem, l: int, N: int) -> list:
     return rows
 
 
-def _slab_layout(system: FiniteSystem, k: int, l: int, N: int, rows: list):
-    """The fixed structure of the column slabs of K_l, one slab at a time.
+def _padded_rows(rows: list, M: int) -> np.ndarray:
+    """The slab rows R_Y as one (slabs, max |R_Y|) array, each row padded with the point M."""
+    pad = np.full((len(rows), max(map(len, rows))), M)
+    for i, r in enumerate(rows):
+        pad[i, :len(r)] = r
+    return pad
 
-    Yields, per slab Y with rows R_Y (from :func:`_slab_rows`), the local
-    bin (row in R_Y) |Y| + (y - start) of each term, y-major and n
-    increasing, and the orbit tables the terms read: T^{(k-l) n} y for f,
-    then T^{(j-l) n} y for each companion j != l.  Each slab gathers the
-    orbits of its own columns, so a slab's tables are |Y| x N; bins and
-    tables are int32 (16 M < 2**31 on any system whose kernel fits in
+
+def _slab_layout(system: FiniteSystem, k: int, l: int, N: int, rows: list):
+    """The fixed structure of the column slabs of K_l, one group of consecutive slabs at a time.
+
+    Yields, per group (a slice of the stacked slabs of :func:`_stack_slabs`),
+    the bin of each term in the group's part of the stacked array, entry
+    (slab, row in R_Y, y - start) with R_Y from :func:`_slab_rows`, y-major
+    and n increasing, and the orbit tables the terms read: T^{(k-l) n} y for
+    f, then T^{(j-l) n} y for each companion j != l.  A group holds as many
+    whole slabs as keep its terms, its stacked entries and its map from
+    points to rows within _GROUP_BUDGET entries (one slab at least); bins
+    and tables are int32 (16 M < 2**31 on any system whose kernel fits in
     memory), which halves the layouts a call at k >= 2 keeps.
     """
+    M = system.size
     n = np.arange(1, N + 1)
-    local = np.empty(system.size, dtype=np.intp)  # row in R_Y, for the points of R_Y
+    pad = _padded_rows(rows, M)
+    nslab, height = pad.shape
+    size = max(1, _GROUP_BUDGET // (_SLAB * (N + height) + M))
     steps = [k - l] + [j - l for j in range(k) if j != l]  # f's first, then the other companions'
-    for s, r in zip(range(0, system.size, _SLAB), rows):
-        y = np.arange(s, min(s + _SLAB, system.size))[:, None]
-        local[r] = np.arange(len(r))
-        bins = local[system.orbit_indices(y, -(l + 1), n)] * len(y) + np.arange(len(y))[:, None]
-        yield bins.ravel().astype(np.int32), [system.orbit_indices(y, a, n).astype(np.int32) for a in steps]
+    for i in range(0, nslab, size):
+        group = slice(i, min(i + size, nslab))
+        y = np.arange(i * _SLAB, min(group.stop * _SLAB, M))[:, None]
+        # stacked row of each point of R_Y in the group, one row of M + 1 per slab (pad rows all write point M)
+        local = np.empty((group.stop - i, M + 1), dtype=np.intp)
+        local[np.arange(group.stop - i)[:, None], pad[group]] = np.arange(pad[group].size).reshape(-1, height)
+        at = system.orbit_indices(y, -(l + 1), n)
+        at += (y // _SLAB - i) * (M + 1)
+        bins = np.take(local, at, out=at)
+        bins *= _SLAB
+        bins += y % _SLAB
+        yield group, bins.ravel().astype(np.int32), [system.orbit_indices(y, a, n).astype(np.int32) for a in steps]
 
 
 def _stack_slabs(system: FiniteSystem, rows: list):
@@ -209,24 +233,26 @@ def _stack_slabs(system: FiniteSystem, rows: list):
     return data, slabs
 
 
-def _fill_slabs(slabs, layout, f: Observable, g_list, l: int, N: int) -> list:
-    """Fill the slabs S of A = K_l g_l in place, other companions frozen.
+def _fill_slabs(data, slabs, layout, f: Observable, g_list, l: int, N: int) -> list:
+    """Fill the stacked slabs ``data`` of A = K_l g_l in place, other companions frozen.
 
-    Returns the slabs for the sweeps, each S C-contiguous: a last slab
-    narrower than _SLAB is a strided view of the stacked array, and a
-    strided one-column slab takes another BLAS path than a contiguous one,
-    which moves the last bits, so it is copied.
+    Each group of :func:`_slab_layout` takes one gather per factor and one
+    bincount per part, written straight into its part of ``data``, which is
+    then zero beyond every slab.  Returns the slabs for the sweeps, each S
+    C-contiguous: a last slab narrower than _SLAB is a strided view of the
+    stacked array, and a strided one-column slab takes another BLAS path
+    than a contiguous one, which moves the last bits, so it is copied.
 
     Entry (T^{-(l+1) n} y, y) sums f(T^{(k-l) n} y) prod_{j != l} g_j(T^{(j-l) n} y) / N
     over n = 1..N in increasing order, so repeated entries, where N exceeds
-    a cycle length, round as a plain loop: one sequential bincount per slab
-    over the bins of :func:`_slab_layout` sees each entry's terms in
-    increasing n, and every entry is bit-identical to the same entry of one
-    bincount over the whole (N, M) table of terms.
+    a cycle length, round as a plain loop: a sequential bincount over the
+    bins of :func:`_slab_layout` sees each entry's terms in increasing n,
+    and every entry is bit-identical to the same entry of one bincount over
+    the whole (N, M) table of terms.
     """
     others = g_list[:l] + g_list[l + 1:]
     scale = 1.0 / N
-    for (_, _, S), (bins, (f_table, *tables)) in zip(slabs, layout):
+    for group, bins, (f_table, *tables) in layout:
         b = f.values[f_table]
         for g, tbl in zip(others, tables):
             # not b * g[tbl]: numpy may reuse the temporary g[tbl] and swap the
@@ -238,8 +264,9 @@ def _fill_slabs(slabs, layout, f: Observable, g_list, l: int, N: int) -> list:
         # b / N divides by N + 0j, which numpy does as (re + im 0) (1 / N) and
         # (im - re 0) (1 / N): each part times 1 / N up to the sign of a zero,
         # which the bincount's +0.0 start erases
-        S.real = np.bincount(bins, (b.real * scale).ravel(), S.size).reshape(S.shape)
-        S.imag = np.bincount(bins, (b.imag * scale).ravel(), S.size).reshape(S.shape)
+        part = data[group]
+        part.real = np.bincount(bins, (b.real * scale).ravel(), part.size).reshape(part.shape)
+        part.imag = np.bincount(bins, (b.imag * scale).ravel(), part.size).reshape(part.shape)
     return [(rows, w, np.ascontiguousarray(S)) for rows, w, S in slabs]
 
 
@@ -257,73 +284,83 @@ def _phase(z, keep) -> np.ndarray:
     return np.divide(z, mag, out=keep.copy(), where=mag > 1e-300)
 
 
-def _power_phase(data, rows, w, G) -> None:
-    """Generalized power ascent with momentum on every column g of G, in place.
+def _power_phase(data, rows, w, G) -> np.ndarray:
+    """Generalized power ascent with momentum on every row g of G, in place.
 
     The objective g^H K^H W K g is convex, so the power step g <- phase(c),
     c = K^H W K g, never lowers it (Journee, Nesterov, Richtarik and
-    Sepulchre, JMLR 2010).  A column tries the momentum step
+    Sepulchre, JMLR 2010).  A start tries the momentum step
     phase(c + _MOMENTUM |c| (g - g_prev)) first; where that would lower
     its objective it takes the power step instead, which also drops its
-    momentum.  A column stops once a step raises its objective by at most
+    momentum.  A start stops once a step raises its objective by at most
     _ASCENT_TOL, relative, or after _POWER_STEPS steps.  ``data`` holds
-    the kernel's slabs stacked as :func:`_stack_slabs` makes them, so each
-    direction of a step is one stacked product over the columns still
-    moving, and K g goes back from slab rows to points by bincounts.
+    the kernel's slabs stacked as :func:`_stack_slabs` makes them, and the
+    starts still moving are the rows of one array.  Each product is one
+    batched matrix-vector matmul over (slab, start) items, slab-major so
+    that each slab is read once per product, and K g goes back from slab
+    rows to points by one bincount.  A start's iterates therefore do not
+    depend on which other starts share the batch, bit for bit.  Returns
+    the number of steps each start took.
     """
-    M = G.shape[0]
+    R, M = G.shape
     nslab, height, width = data.shape
-    pad = np.full((nslab, height), M)  # pad rows read and write point M, which stays zero
-    for i, r in enumerate(rows):
-        pad[i, :len(r)] = r
-    w = np.append(w, 0.0)[:, None]
+    pad = _padded_rows(rows, M)  # pad rows read and write point M, which stays zero
+    w = np.append(w, 0.0)
+    Xs = np.zeros((R, nslab * width), dtype=np.complex128)  # zero beyond point M - 1
 
-    def apply(X):  # K X, with the zero row M below
-        n = X.shape[1]
-        Xs = np.zeros((nslab * width, n), dtype=np.complex128)
-        Xs[:M] = X
-        P = np.matmul(data, Xs.reshape(nslab, width, n)).reshape(-1, n)
-        A = np.empty((M + 1, n), dtype=np.complex128)
-        for j in range(n):  # one bincount per part of each column, over the slab rows
-            A[:, j].real = np.bincount(pad.ravel(), P[:, j].real, M + 1)
-            A[:, j].imag = np.bincount(pad.ravel(), P[:, j].imag, M + 1)
-        return A
+    def index(r):  # float index of part p of start j's point pad[s, i] in an (r, M + 1) array, at (s, j, i, p)
+        return (2 * ((M + 1) * np.arange(r)[:, None] + pad[:, None]))[..., None] + np.arange(2)
 
-    def ascent(A):  # K^H W A from (W A)^H S per slab: no conjugate copy of the slabs
-        V = (w * A)[pad]
-        c = np.matmul(np.conj(V, out=V).transpose(0, 2, 1), data)
-        return np.conj(c.transpose(0, 2, 1)).reshape(nslab * width, -1)[:M]
+    def apply(X, at):  # K g per row g of X, with the zero point M, through at = index(len(X))
+        r = len(X)
+        Xs[:r, :M] = X
+        # a C-ordered out makes the items slab-major
+        P = np.matmul(data[:, None], Xs[:r].reshape(r, nslab, width, 1).transpose(1, 0, 2, 3),
+                      out=np.empty((nslab, r, height, 1), dtype=np.complex128))
+        return np.bincount(at.ravel(), P.view(np.float64).ravel(), 2 * r * (M + 1)).view(
+            np.complex128).reshape(r, M + 1)
+
+    def ascent(A, at):  # K^H W A from (W A)^H S per slab and start: no conjugate copy of the slabs
+        r = len(A)
+        # (W A) gathered C-ordered: OpenBLAS rounds a strided vector otherwise than a contiguous one
+        V = np.take((w * A).view(np.float64), at).view(np.complex128).reshape(nslab, r, 1, height)
+        c = np.conj(V, out=V) @ data[:, None]
+        return np.conj(c.reshape(nslab, r, width).transpose(1, 0, 2), order="C").reshape(r, -1)[:, :M]
 
     def objective(A):
-        return (w * (A.real ** 2 + A.imag ** 2)).sum(axis=0)
+        return (w * (A.real ** 2 + A.imag ** 2)).sum(axis=1)
 
-    live = np.arange(G.shape[1])
+    live = np.arange(R)
+    taken = np.full(R, _POWER_STEPS)
+    at = index(R)
     g = G.copy()
-    A = apply(g)
+    A = apply(g, at)
     obj = objective(A)
     last = g  # g_prev: the first step has no momentum
-    for _ in range(_POWER_STEPS):
-        c = ascent(A)
+    for step in range(1, _POWER_STEPS + 1):
+        c = ascent(A, at)
         y = _phase(c + _MOMENTUM * np.abs(c) * (g - last), g)
-        Ay = apply(y)
+        Ay = apply(y, at)
         new = objective(Ay)
         back = new < obj
         if back.any():
-            y[:, back] = _phase(c[:, back], g[:, back])
-            Ay[:, back] = apply(y[:, back])
-            new[back] = objective(Ay[:, back])
+            y[back] = _phase(c[back], g[back])
+            Ay[back] = apply(y[back], index(back.sum()))
+            new[back] = objective(Ay[back])
         stay = new < obj  # a power step lowers the objective only by rounding, at a fixed point
         if stay.any():
-            y[:, stay], Ay[:, stay], new[stay] = g[:, stay], A[:, stay], obj[stay]
+            y[stay], Ay[stay], new[stay] = g[stay], A[stay], obj[stay]
         moving = new - obj > _ASCENT_TOL * np.maximum(1.0, obj)
-        last = np.where(back, y, g)
+        last = np.where(back[:, None], y, g)
         g, A, obj = y, Ay, new
         if not moving.all():
-            G[:, live[~moving]] = g[:, ~moving]
-            live, g, A, obj, last = live[moving], g[:, moving], A[:, moving], obj[moving], last[:, moving]
+            G[live[~moving]], taken[live[~moving]] = g[~moving], step
+            live, g, A, obj, last = live[moving], g[moving], A[moving], obj[moving], last[moving]
             if not live.size:
-                return
-    G[:, live] = g
+                break
+            at = index(live.size)
+    G[live] = g
+    return taken
 
 
 def _block_grams(slabs) -> list:
@@ -462,17 +499,17 @@ def _ascent_bracket(system, f, k, N, restarts, seed, max_cycles, real_signs) -> 
     rows = [_slab_rows(system, l, N) for l in range(k)]
     kernels = [_stack_slabs(system, r) for r in rows]  # one per companion, refilled in place
     if k == 1:  # the kernel never changes, so its layout streams slab by slab
-        slabs = _fill_slabs(kernels[0][1], _slab_layout(system, 1, 0, N, rows[0]), f, starts[0], 0, N)
+        slabs = _fill_slabs(*kernels[0], _slab_layout(system, 1, 0, N, rows[0]), f, starts[0], 0, N)
         grams = _block_grams(slabs)
         if not real_signs:
-            G = np.stack([g for g, in starts], axis=1)
+            G = np.stack([g for g, in starts])
             _power_phase(kernels[0][0], rows[0], w, G)
-            starts = [[g.copy()] for g in G.T]
+            starts = [[g] for g in G]
     else:
         layouts = [list(_slab_layout(system, k, l, N, rows[l])) for l in range(k)]
     for g_list in starts:
         if k > 1:
-            slabs = _fill_slabs(kernels[0][1], layouts[0], f, g_list, 0, N)
+            slabs = _fill_slabs(*kernels[0], layouts[0], f, g_list, 0, N)
             grams = _block_grams(slabs)
         A = _kernel_apply(slabs, g_list[0])
         obj = fsum((w * np.abs(A) ** 2).tolist())
@@ -481,7 +518,7 @@ def _ascent_bracket(system, f, k, N, restarts, seed, max_cycles, real_signs) -> 
         for cycle in range(max_cycles):
             for l in range(k):
                 if k > 1 and (cycle or l):
-                    slabs = _fill_slabs(kernels[l][1], layouts[l], f, g_list, l, N)
+                    slabs = _fill_slabs(*kernels[l], layouts[l], f, g_list, l, N)
                     grams = _block_grams(slabs)
                 _sweep(slabs, grams, g_list[l], A, real_signs)
             obj_new = fsum((w * np.abs(A) ** 2).tolist())

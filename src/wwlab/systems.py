@@ -77,7 +77,8 @@ class FiniteSystem:
         total = fsum(w.tolist())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1 (got {total!r})")
-        if np.any(fwd < 0) or np.any(fwd >= w.size) or np.unique(fwd).size != w.size:
+        # a bincount, not np.unique, which imports numpy.ma on first use
+        if np.any(fwd < 0) or np.any(fwd >= w.size) or np.any(np.bincount(fwd, minlength=w.size) != 1):
             raise ValueError("forward_map is not a bijection")
         if not np.array_equal(w[fwd], w):
             raise ValueError("weights must be constant along orbits (measure preservation)")

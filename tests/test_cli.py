@@ -227,6 +227,18 @@ def test_scalar_extra_where_a_list_belongs_exits_2(tmp_path, capsys, argv, key):
     assert err.startswith("error:") and f"{key} must be a list" in err
 
 
+@pytest.mark.parametrize("op, extra, key", [
+    ("hilbert", '{"return_weights": 5}', "extra.return_weights"),
+    ("return_times", '{"g": 5}', "extra.g"),
+    ("hilbert", '{"return_weights": {"g": 5, "steps": [1]}}', "extra.return_weights.g"),
+])
+def test_scalar_extra_where_an_object_belongs_exits_2(tmp_path, capsys, op, extra, key):
+    argv = ["run", "--op", op, "--system", "cyclic:13", "--system-b", "cyclic:5", "--N", "8", "--extra", extra]
+    assert main([*argv, "--no-cache", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{key} must be a JSON object" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "--op", "ww", "--system", "cyclic:13", "--f", "random"],
     ["run", "--op", "ww", "--system", "cyclic:13", "--f", "random:x"],

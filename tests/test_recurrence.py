@@ -229,7 +229,7 @@ def _first_order_kernel(system, f, N):
     rows = recurrence._slab_rows(system, 0, N)
     data, slabs = recurrence._stack_slabs(system, rows)
     ones = [np.ones(system.size, dtype=np.complex128)]
-    recurrence._fill_slabs(slabs, recurrence._slab_layout(system, 1, 0, N, rows), f, ones, 0, N)
+    recurrence._fill_slabs(data, slabs, recurrence._slab_layout(system, 1, 0, N, rows), f, ones, 0, N)
     return data, rows
 
 
@@ -237,9 +237,9 @@ def _power_phase_of(system, f, N):
     """The ascent's own power phase on every start at once, as the ascent runs it."""
 
     def power(starts):
-        G = np.stack([g for g, in starts], axis=1)
+        G = np.stack([g for g, in starts])
         recurrence._power_phase(*_first_order_kernel(system, f, N), system.weights, G)
-        return [[g.copy()] for g in G.T]
+        return [[g.copy()] for g in G]
 
     return power
 
@@ -353,31 +353,50 @@ def test_blocked_ascent_matches_per_coordinate_oracle(system, k, N, real_signs, 
     (cyclic_shift(37), 30),
 ], ids=["cyclic", "random", "identity", "blocks"])
 def test_power_phase_steps_match_dense_oracle(monkeypatch, system, N):
-    # every step of the stacked power phase, all starts at once, against one dense
-    # step from the same iterate; whole runs differ by more than rounding, since on
+    # every step of the power phase, all starts at once, against one dense step
+    # from the same iterate; whole runs differ by more than rounding, since on
     # random_permutation(40, 3) a step from the all-ones start can enlarge a
     # difference 30-fold, and the runs end on maxima that differ by a common phase
     f = random_mean_zero(system, 2)
     M, w = system.size, system.weights
     data, rows = _first_order_kernel(system, f, N)
     K = _oracle_kernel(system, f, [np.ones(M)], 1, 0, N)
-    G0 = np.stack([g for g, in _seeded_starts(M, 1, 2, 4, False)], axis=1)
+    G0 = np.stack([g for g, in _seeded_starts(M, 1, 2, 4, False)])
     g, last = G0.copy(), G0.copy()
-    done = np.zeros(G0.shape[1], dtype=bool)
+    done = np.zeros(len(G0), dtype=bool)
+    stops = np.zeros(len(G0), dtype=int)
     for t in range(1, recurrence._POWER_STEPS + 1):
         monkeypatch.setattr(recurrence, "_POWER_STEPS", t)
         G = G0.copy()
-        recurrence._power_phase(data, rows, w, G)  # the first t steps
+        taken = recurrence._power_phase(data, rows, w, G)  # the first t steps
         for j in np.flatnonzero(~done):
-            y, back, obj, done[j] = _oracle_power_step(K, w, g[:, j], last[:, j], 1e-9)
-            assert np.max(np.abs(G[:, j] - y)) <= 1e-9
-            assert fsum((w * np.abs(K @ G[:, j]) ** 2).tolist()) == pytest.approx(obj, rel=1e-12)
-            last[:, j] = G[:, j] if back else g[:, j]
-            g[:, j] = G[:, j]  # go on from the stacked iterate
-        assert np.array_equal(G[:, done], g[:, done])  # a stopped restart stays where it stopped
+            y, back, obj, done[j] = _oracle_power_step(K, w, g[j], last[j], 1e-9)
+            stops[j] = t
+            assert np.max(np.abs(G[j] - y)) <= 1e-9
+            assert fsum((w * np.abs(K @ G[j]) ** 2).tolist()) == pytest.approx(obj, rel=1e-12)
+            last[j] = G[j] if back else g[j]
+            g[j] = G[j]  # go on from the per-start iterate
+        assert np.array_equal(G[done], g[done])  # a stopped restart stays where it stopped
         if done.all():
             break
-    assert done.all()
+    assert done.all() and np.array_equal(taken, stops)  # each start counts the steps it took
+
+
+@pytest.mark.parametrize("system, N", [(cyclic_shift(521), 8), (random_permutation(40, 3), 20)],
+                         ids=["cyclic", "random"])
+def test_power_phase_runs_each_start_as_if_alone(system, N):
+    # one matrix-vector product per (slab, start): a start's iterates do not depend on
+    # which other starts share its batch, bit for bit (a stacked product over the
+    # starts' columns rounds each column by how many there are)
+    f = random_mean_zero(system, 2)
+    data, rows = _first_order_kernel(system, f, N)
+    G0 = np.stack([g for g, in _seeded_starts(system.size, 1, 2, 4, False)])
+    G = G0.copy()
+    recurrence._power_phase(data, rows, system.weights, G)
+    for j in range(len(G0)):
+        alone = G0[j:j + 1].copy()
+        recurrence._power_phase(data, rows, system.weights, alone)
+        assert np.array_equal(alone[0], G[j])
 
 
 def _whole_array_kernel(system, f, gs, k, l, N):
@@ -419,8 +438,13 @@ def test_blocked_fill_matches_whole_array_fill(monkeypatch, system, N, width, k)
         K = np.zeros((M, M), dtype=np.complex128)
         inside = np.zeros((M, M), dtype=bool)
         slab_rows = recurrence._slab_rows(system, l, N)
+        # filled in groups of three slabs, the last group shorter where the slabs do not divide
+        monkeypatch.setattr(recurrence, "_GROUP_BUDGET", 3 * (width * (N + max(map(len, slab_rows))) + M))
         data, slabs = recurrence._stack_slabs(system, slab_rows)
-        recurrence._fill_slabs(slabs, recurrence._slab_layout(system, k, l, N, slab_rows), f, gs, l, N)
+        layout = list(recurrence._slab_layout(system, k, l, N, slab_rows))
+        assert [(g.start, g.stop) for g, _, _ in layout] == [(i, min(i + 3, len(slabs)))
+                                                             for i in range(0, len(slabs), 3)]
+        recurrence._fill_slabs(data, slabs, layout, f, gs, l, N)
         outside = data.copy()
         for i, (s, (rows, w, S)) in enumerate(zip(range(0, M, width), slabs)):
             cols = np.arange(s, min(s + width, M))

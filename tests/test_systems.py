@@ -1,6 +1,9 @@
 """Finite systems, observables, partitions, and spectral data."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -30,6 +33,22 @@ from wwlab.systems import (
     tensor_observable,
     two_cell_parity_partition,
 )
+
+
+@pytest.mark.parametrize("forward", [[0, 0, 1], [1, 2, 3], [-1, 0, 1]], ids=["repeat", "past end", "negative"])
+def test_system_refuses_a_map_that_is_not_a_bijection(forward):
+    with pytest.raises(ValueError, match="not a bijection"):
+        FiniteSystem(np.full(3, 1 / 3), forward)
+
+
+def test_building_a_system_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma on first use, at about 19 ms and 1.3 MB in a fresh process
+    code = ("import sys; from wwlab.systems import build_system; "
+            "build_system({'kind': 'random_permutation', 'size': 64, 'seed': 1}); "
+            "build_system({'kind': 'cyclic_shift', 'p': 7}); print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"
 
 
 def test_cyclic_shift_orbit():
