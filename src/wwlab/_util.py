@@ -57,6 +57,11 @@ def check_budget(estimate: float, budget: float | None = None, what: str = "") -
         raise BudgetExceeded(estimate, cap, what)
 
 
+def float_power(base: float, exponent: int) -> float:
+    """``base ** exponent`` as a float for a cost estimate, inf past the float range."""
+    return math.inf if exponent * math.log2(max(base, 1)) >= 1024 else float(base) ** exponent
+
+
 def fsum(values: Iterable[float]) -> float:
     """Exactly rounded sum of real floats (order independent)."""
     return math.fsum(values)

@@ -33,8 +33,8 @@ from ._util import check_budget, fsum, fsum_complex
 from .averages import (
     CubeAssignment,
     ScheduleR,
-    _average_cost,
     _average_pipeline,
+    _refuse_cube,
     _weak_kernel,
     off_diagonal_average,
     schedule_cap,
@@ -78,6 +78,7 @@ __all__ = [
     "decay_fit",
     "precsim_fit",
     "available_checks",
+    "check_defaults",
     "check_parameters",
     "run_named_check",
     "hilbert_partial_sums",
@@ -618,7 +619,7 @@ def _check_spectral_weak(system=None, f=None, N_values=(16, 32), oversample: int
     for N in N_values:
         coeffs = [spectral_coefficient(system, f, n) for n in range(N)]
         lhs = fsum(abs(c) ** 2 for c in coeffs) / N
-        check_budget(_average_cost(1, system.size, N, oversample), budget, "spectral_weak")
+        _refuse_cube(system, 0, 1.0, N, oversample, budget, "spectral_weak")
         lo, up = _weak_kernel(system, np.asarray(f.values, dtype=np.complex128), N, oversample)
         yield _row(N, lhs, lo, rhs_far=up)
 
@@ -881,7 +882,12 @@ def _lookup(name: str) -> _Check:
 
 def check_parameters(name: str) -> tuple:
     """The scenario names the check ``name`` reads: its declared parameters."""
-    return tuple(inspect.signature(_lookup(name).run).parameters)
+    return tuple(check_defaults(name))
+
+
+def check_defaults(name: str) -> dict:
+    """Each parameter the check ``name`` declares, with its default."""
+    return {p: v.default for p, v in inspect.signature(_lookup(name).run).parameters.items()}
 
 
 def run_named_check(name: str, **scenario) -> InequalityCheck:

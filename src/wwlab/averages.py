@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_budget, content_key, fsum, memo, pmap
+from ._util import check_budget, content_key, float_power, fsum, memo, pmap
 from .supbrackets import Bracket, _polyphase_rows, sup_norm_trig
 from .systems import FiniteSystem, Observable, shift_observable
 
@@ -197,8 +197,12 @@ def _weak_kernel(system: FiniteSystem, values: np.ndarray, N: int, oversample: i
     return lower, upper
 
 
-def _average_cost(tuples: int, size: int, N: int, oversample: int) -> float:  # budget estimate of a cube average
-    return tuples * size * (N * math.log2(max(oversample * N, 2)) * oversample + N)
+def _refuse_cube(system: FiniteSystem, order: int, tuples: float, N: int, oversample: int, budget,
+                 what: str = "cube average") -> None:
+    """Refuse a cube average from its counts, before its cube or shift tuples are built: the
+    estimate charges per tuple and point the 2^order vertex reads and the kernel."""
+    kernel = N * math.log2(max(oversample * N, 2)) * oversample + N
+    check_budget(tuples * system.size * (kernel + float_power(2, order)), budget, what)
 
 
 def _average_pipeline(
@@ -225,8 +229,8 @@ def _average_pipeline(
     if len(schedule.entries) != assignment.order:
         raise ValueError(f"schedule must provide {assignment.order} entries for order {assignment.order + 1}")
     ranges = schedule.values(N)
+    _refuse_cube(system, assignment.order, math.prod(map(float, ranges)), N, oversample, budget)
     tuples = list(itertools.product(*(range(1, r + 1) for r in ranges)))
-    check_budget(_average_cost(len(tuples), system.size, N, oversample), budget, "cube average")
     vertices = [assignment.mapping[bits] for bits in sorted(assignment.mapping)]
     key = content_key(system, vertices, "cube average", N, tuple(ranges), oversample, kernel, norm_p, threads)
     hit = memo.get(key)
@@ -262,6 +266,7 @@ def ww_average(
     budget=None,
 ) -> Bracket:
     """Order-k average of f at length N with the classical sqrt schedule."""
+    _refuse_cube(system, k - 1, float_power(max(1, math.isqrt(N)), k - 1), N, oversample, budget)
     return ww_average_alt(system, f, k, N, ScheduleR.sqrt_schedule(k - 1), oversample, threads, budget)
 
 
@@ -282,6 +287,7 @@ def ww_average_alt(
     """
     if k < 1:
         raise ValueError("order k must be >= 1")
+    _refuse_cube(system, k - 1, math.prod(map(float, schedule.values(N))), N, oversample, budget)
     assignment = CubeAssignment.diagonal(f, k - 1)
     return _average_pipeline(system, assignment, N, schedule, oversample, "strong", threads=threads, budget=budget)
 
@@ -298,6 +304,7 @@ def weak_ww_average(
     """Weak order-k average: supremum outside the L2 norm."""
     if k < 1:
         raise ValueError("order k must be >= 1")
+    _refuse_cube(system, k - 1, float_power(max(1, math.isqrt(N)), k - 1), N, oversample, budget)
     assignment = CubeAssignment.diagonal(f, k - 1)
     return _average_pipeline(system, assignment, N, ScheduleR.sqrt_schedule(k - 1), oversample, "weak",
                              threads=threads, budget=budget)

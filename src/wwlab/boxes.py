@@ -18,6 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._util import check_budget, float_power
+
 _ENUMERATION_CAP = 10**7
 
 
@@ -234,12 +236,14 @@ def interchange_check(fam: BoxFamily, integrand):
     return lhs, rhs
 
 
-def level_sweep(k_values=(1, 2, 3), H_max: int = 5, q_max: int = 15):
+def level_sweep(k_values=(1, 2, 3), H_max: int = 5, q_max: int = 15, budget=None):
     """Rows comparing formula, enumeration, and bounds across a parameter grid.
 
     Yields dicts with keys k, H, q, p, exact, brute, bound_lhs, bound_rhs,
-    slack; each family's bound is read at length N = q + 1.
+    slack; each family's bound is read at length N = q + 1.  The estimate
+    counts (H_max (q_max + H_max))^k * q_max enumerated points per order k.
     """
+    check_budget(sum(float_power(H_max * (q_max + H_max), k) * q_max for k in k_values), budget, "level_sweep")
     for k in k_values:
         for H in itertools.product(range(1, H_max + 1), repeat=k):
             fam_min = min(H)

@@ -62,7 +62,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._util import check_budget, content_key, fsum, memo
+from ._util import check_budget, content_key, float_power, fsum, memo
 from .averages import _POINT_CHUNK_BUDGET, CubeAssignment, _row_chunks, _strong_kernel, cube_product
 from .supbrackets import Bracket, _grid_sup_rows
 from .systems import FiniteSystem, Observable
@@ -563,7 +563,7 @@ def polyphase_mrec_sup(
     if N < 1:
         raise ValueError("N must be >= 1")
     M = system.size
-    check_budget(float(M) * oversample ** phase_degree * float(N) ** (phase_degree * (phase_degree + 1) // 2 + 1),
+    check_budget(M * float_power(oversample, phase_degree) * float_power(N, phase_degree * (phase_degree + 1) // 2 + 1),
                  budget, "polyphase_mrec_sup")
     lo, up = _strong_kernel(system, [(f.values, a) for f, a in zip(functions, exponents.entries)],
                             phase_degree, N, oversample, 2)

@@ -94,12 +94,13 @@ Polynomial phases
 ``_polyphase_rows`` searches sup over (t_1..t_d) of |(1/N) sum u_n
 e^{2 pi i (t_1 n + ... + t_d n^d)}| for a batch of rows: each point of the
 outer grid t_j = m_j / (O N^j), j = 2..d, twists a row by
-e^{2 pi i sum_j t_j n^j}, and all twisted rows go through the kernel in
-chunks of _POLY_CHUNK entries, each row keeping its first maximum in nested
-grid order.  The secant argument holds one coordinate at a time, so degree
-2 is certified by the product of the two coordinates' secants (with the
-step bound and the cap); degree 3 and above return the grid maximum,
-flagged, with the cap as upper endpoint.
+e^{2 pi i sum_j t_j n^j}, built once per block of grid points, and all
+twisted rows go through the kernel in chunks of about _POLY_CHUNK entries,
+each row keeping its first maximum in nested grid order.  The secant
+argument holds one coordinate at a time, so degree 2 is certified by the
+product of the two coordinates' secants (with the step bound and the cap);
+degree 3 and above return the grid maximum, flagged, with the cap as upper
+endpoint.
 """
 from __future__ import annotations
 
@@ -473,22 +474,25 @@ def _polyphase_rows(U: np.ndarray, degree: int, oversample: int):
     n = np.arange(1, N + 1, dtype=float)
     lower = np.full(rows, -1.0)
     hint = np.empty((rows, degree))
-    chunk = max(1, _POLY_CHUNK // N)
-    for start in range(0, rows * G, chunk):
-        row, m = np.divmod(np.arange(start, min(start + chunk, rows * G)), G)
-        outer = [mj / g for mj, g in zip(np.unravel_index(m, grids), grids)]
-        phase = np.zeros((row.size, N))
+    chunk = max(1, _POLY_CHUNK // N)  # twisted rows per kernel call
+    for g0 in range(0, G, chunk):  # a block of outer grid points, each twist built once
+        outer = [mj / g for mj, g in zip(np.unravel_index(np.arange(g0, min(g0 + chunk, G)), grids), grids)]
+        phase = np.zeros((outer[0].size, N))
         for j, t in enumerate(outer, start=2):
             phase = phase + t[:, None] * n**j
-        low, _, arg = _grid_sup_rows(U[row] * np.exp(2j * np.pi * phase), oversample)  # u first: the bits depend on it
-        # the chunk holds consecutive rows; each keeps its first maximum in
-        # the chunk if that beats the earlier chunks'
-        starts = np.r_[0, np.diff(row).nonzero()[0] + 1]
-        top = np.maximum.reduceat(low, starts)[row - row[0]]
-        first = np.minimum.reduceat(np.where(low == top, np.arange(row.size), row.size), starts)
-        first = first[low[first] > lower[row[first]]]
-        lower[row[first]] = low[first]
-        hint[row[first]] = np.column_stack([arg[first]] + [t[first] for t in outer])
+        twist = np.exp(2j * np.pi * phase)
+        per = max(1, chunk // twist.shape[0])
+        for r0 in range(0, rows, per):
+            row = np.arange(r0, min(r0 + per, rows))
+            # u first: the bits depend on it
+            low, _, arg = _grid_sup_rows((U[row, None, :] * twist).reshape(-1, N), oversample)
+            # each row keeps its first maximum in the block if that beats the earlier blocks'
+            first = low.reshape(row.size, -1).argmax(axis=1)
+            at = np.arange(row.size) * twist.shape[0] + first
+            better = low[at] > lower[row]
+            row, first, at = row[better], first[better], at[better]
+            lower[row] = low[at]
+            hint[row] = np.column_stack([arg[at]] + [t[first] for t in outer])
     absU = np.abs(U)
     cap = absU.sum(axis=1) / N
     if degree > _MAX_CERTIFIED_DEGREE:

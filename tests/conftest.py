@@ -1,8 +1,13 @@
 """Shared test fixtures."""
 
 import pytest
+from hypothesis import settings
 
 from wwlab._util import clear_memo
+
+# every tier-1 run draws the same Hypothesis examples, however long each takes
+settings.register_profile("wwlab", derandomize=True, deadline=None)
+settings.load_profile("wwlab")
 
 
 @pytest.fixture(autouse=True)

@@ -325,3 +325,31 @@ def test_order_one_equals_sup_bracket(seed, N):
         acc += s.lower**2 / 7
     lo = math.sqrt(acc) ** (2.0 / 3.0)
     assert br.lower == pytest.approx(lo, rel=1e-9)
+
+
+_ORDER_40 = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from wwlab import BudgetExceeded, ScheduleR, cyclic_shift, random_mean_zero, weak_ww_average, ww_average, ww_average_alt
+system = cyclic_shift(13)
+f = random_mean_zero(system, 1)
+for average in (ww_average, weak_ww_average, lambda *a: ww_average_alt(*a[:4], ScheduleR.sqrt_schedule(39))):
+    try:
+        average(system, f, 40, 8)
+    except BudgetExceeded:
+        continue
+    sys.exit(f"{average} ran")
+"""
+
+
+def test_oversized_cube_averages_are_refused_before_they_are_built():
+    # order 40 has 2^39 cube vertices and 2^39 shift tuples at N = 8; an
+    # average that built either before its budget check would fail with
+    # MemoryError under the child's 1 GiB address-space cap
+    import os
+    import subprocess
+    import sys
+
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", _ORDER_40], capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr

@@ -4,9 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wwlab.analysis
 from wwlab import cli
@@ -527,3 +530,123 @@ def test_main_selftest_single_criterion(capsys):
     out = capsys.readouterr().out
     assert "[PASS]" in out
     assert "1/1 criteria passed" in out
+
+
+# -- the config schema ---------------------------------------------------------
+
+
+def _spec(kind, **fields):
+    return {"kind": kind, **fields}
+
+
+_C521 = _spec("cyclic_shift", p=521)
+_R16384 = _spec("random_permutation", size=16384, seed=7)
+_R4096 = _spec("random_permutation", size=4096, seed=8)
+_WINDOW = {"system": _C521, "functions": [_spec("random", seed=2)], "seed": 2, "k": 1, "schedule": [64, 128, 256, 512]}
+_RETURN_EXTRA = {"exponents": [1, 2], "return_weights": {"g": _spec("random", seed=9), "y_point": 5, "steps": [1]}}
+
+
+def _pointwise(x):
+    return [
+        {"op": "hilbert", "system": _R16384, "seed": 0, "x_point": x, "sigma": 0.9, "schedule": [64, 4096],
+         "extra": {"phase_t": [0.5]}},
+        {"op": "hilbert", "system": _R16384, "system_b": _R4096, "functions": _random(11, 12), "x_point": x,
+         "sigma": 0.9, "schedule": [64, 4096], "extra": _RETURN_EXTRA},
+    ]
+
+
+# the seed-0 configs of the benchmark workloads (bench/workloads.py) and their config hashes
+_BENCH_CONFIGS = [
+    ({"op": "ww", "system": _spec("random_permutation", size=8192, seed=1), "functions": _random(1), "k": 1,
+      "schedule": [256, 1024]}, "6bf1332b52afa01e"),
+    ({"op": "ww", "system": _C521, "functions": _random(3), "k": 2, "schedule": [64, 256]}, "64a87d2e36f65507"),
+    ({"op": "weak_ww", "system": _C521, "seed": 0, "k": 2, "schedule": [256]}, "2a0fcac2dd2de51b"),
+    ({"op": "ww", "system": _spec("cyclic_shift", p=97), "functions": _random(5), "k": 3, "schedule": [64]},
+     "41dbb0f9c6675e8b"),
+    ({"op": "mrec", "system": _C521, "functions": _random(2), "seed": 2, "k": 1, "schedule": [64, 256]},
+     "e7523df2e8cdd0de"),
+    ({"op": "mrec", "system": _spec("cyclic_shift", p=131), "functions": _random(4), "seed": 4, "k": 2,
+      "schedule": [64]}, "204a8133cf4c0bab"),
+    (dict(_WINDOW, op="check", check_name="bourgain"), "28db50cbb22272d1"),
+    (dict(_WINDOW, op="check", check_name="reverse_bourgain"), "df65446306269086"),
+    *zip(_pointwise(3) + _pointwise(5464) + _pointwise(10925), [
+        "e7b7a2c3ffc9318b", "461e3e39d4b86bc5", "7ec8d906d98b6a60", "33dc3c4df5d7ad13", "de7056d6e1ccc1c9",
+        "ceb16d44e7c3d97a"]),
+    ({"op": "return_times", "system": _R16384, "system_b": _R4096, "seed": 0, "x_point": 3, "schedule": [256, 1024],
+      "extra": {"poly": [0, 0, 1]}}, "9beea7fc3da084eb"),
+]
+
+
+@pytest.mark.parametrize("config, digest", _BENCH_CONFIGS)
+def test_benchmark_config_hashes_are_pinned(config, digest):
+    assert ExperimentConfig.from_dict(json.loads(json.dumps(config))).config_hash == digest
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("seed", 1.5, "seed must be an integer"),
+    ("degree", 2.5, "degree must be an integer"),
+    ("oversample", 16.5, "oversample must be an integer"),
+    ("k", True, "k must be an integer"),
+    ("schedule", [8.7], "schedule[0] must be an integer"),
+    ("schedule", [16, 8], "strictly increasing"),
+    ("sigma", 0, "sigma must be a finite number in (0, 1]"),
+    ("functions", [5], "functions[0] must be a JSON object"),
+    ("functions", [{"kind": "random"}], "needs 'seed'"),
+    ("functions", [{"kind": "random", "seed": 1, "j": 2}], "unknown key 'j'"),
+    ("system", {"kind": "cyclic_shift", "p": 13, "size": 4}, "system: unknown key 'size'"),
+    ("system", {"kind": "cyclic_shift", "p": 1 << 21}, "system key 'p' must be an integer in [1, 1048576]"),
+    ("system", {"kind": "product", "a": {"kind": "identity", "size": 2}, "b": 5}, "system.b must be a JSON object"),
+    ("extra", {"restarts": 2}, "extra: unknown key 'restarts'"),
+    ("check_name", "bourgain", "only op 'check' reads a check_name"),
+])
+def test_malformed_config_values_are_refused(tmp_path, capsys, field, value, message):
+    config = {"op": "ww", "system": _CYCLE_13, "functions": _random(1), "schedule": [8], field: value}
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    assert main(["run", "--config", str(tmp_path / "c.json"), "--no-cache", "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+# one small config per op; the fuzz test sets one field, extra key or spec field of it to any JSON value
+_FUZZ_BASES = {
+    "ww": {"k": 2}, "weak_ww": {"k": 2}, "decay": {}, "precsim": {"functions": _random(1, 2)},
+    "offdiag": {"k": 2, "functions": _random(1, 2)}, "mrec": {}, "polyphase": {"degree": 2},
+    "return_times": {"system_b": {"kind": "cyclic_shift", "p": 5}},
+    "hilbert": {"system_b": {"kind": "cyclic_shift", "p": 5}, "extra": {"return_weights": {}}},
+    "boxsweep": {"extra": {"k_values": [1, 2], "H_max": 3, "q_max": 6}},
+    "check": {"check_name": "bourgain"},
+}
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+def _fuzz_targets(op):
+    """Paths into a config of op: every field, extra key, and system and function spec field."""
+    extras = cli._EXTRAS.get(op) or [p for p in cli.check_parameters("bourgain") if p not in cli._OBJECT_PARAMS]
+    nested = [("extra", "return_weights", key) for key in ("g", "y_point", "steps")] if op == "hilbert" else []
+    specs = [("system", key) for key in ("kind", "p", "seed", "x")] + \
+        [("functions", 0, key) for key in ("kind", "seed", "values", "left", "x")]
+    return [(f,) for f in ExperimentConfig.__dataclass_fields__] + [("extra", key) for key in extras] + nested + specs
+
+
+_FUZZ_TARGETS = st.sampled_from(sorted(_FUZZ_BASES)).flatmap(
+    lambda op: st.tuples(st.just(op), st.sampled_from(_fuzz_targets(op))))
+
+
+@settings(max_examples=150)
+@given(_FUZZ_TARGETS, _JSON)
+def test_any_json_value_exits_0_or_2(target, value):
+    op, path = target
+    config = {"op": op, "system": _CYCLE_13, "functions": _random(1), "schedule": [8], **_FUZZ_BASES[op]}
+    config = json.loads(json.dumps(config))
+    node = config
+    for key in path[:-1]:
+        node = node.setdefault(key, {}) if isinstance(key, str) else node[key]
+    node[path[-1]] = value
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "c.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        assert main(["run", "--config", path, "--no-cache", "--budget", "1e7", "--out", out]) in (0, 2)
