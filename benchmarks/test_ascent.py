@@ -1,27 +1,29 @@
-"""Timings of the uniform-recurrence kernel fill, one sweep and the power phase, on the installed pytest-benchmark.
+"""Timings of the uniform-recurrence kernel fill, the power phase and one sweep, on the installed pytest-benchmark.
 
 Not part of the tier-1 suite (``testpaths`` is ``tests``).  Run from the
 repository root and keep the results under ``.benchmarks/``:
 
     PYTHONPATH=src python -m pytest benchmarks/test_ascent.py --benchmark-autosave
 
-Compare two saved runs with ``pytest-benchmark compare``.  One round fills
-the slabs of every companion l in turn, builds their Gram rows and sweeps
-once, as one cycle of the ascent does.  A k = 1 round stacks the kernel
-and streams its slab groups' layouts into the fill, as the ascent does once
-per call, so its time includes that set-up; a k >= 2 round refills kernels
-stacked once beforehand, group by group from layouts kept beforehand, as
-every cycle of the ascent does.  The cyclic cases have labels along the
-orbits, so a slab holds (l + 1) N + 15 rows; the random permutation's
+Compare two saved runs with ``pytest-benchmark compare``.  A k = 1 round of
+``test_fill_and_sweep`` does what a first-order ascent with complex
+companions does: it stacks the kernel, streams its slab groups' layouts
+into the fill, and runs the power phase of the ascent's three starts (the
+all-ones start and two seeded ones) until every start stops; it builds no
+Gram rows and runs no sweep, and it records the steps each start took.  A
+k >= 2 round refills every companion l in turn, from kernels stacked once
+and group layouts kept once beforehand, builds their Gram rows and sweeps
+once, as one cycle of the ascent does.  The cyclic cases have labels along
+the orbits, so a slab holds (l + 1) N + 15 rows; the random permutation's
 slabs hold up to 16 N rows and are nearly full height at N = 64.  Each case
 records its slab fill fraction (stored entries over M², per l) and the
 ``tracemalloc`` peak of one round, set-up included, in ``extra_info``.
 
 The power-phase cases time the k = 1 power phase of the ascent's three
-starts, from the filled slabs to where every start stops, on
+starts alone, from the filled slabs to where every start stops, on
 `cyclic_shift(521)` and on the tall slabs (up to 128 rows) of
 `random_permutation(2048, 1)` at N = 8; each records its ``tracemalloc``
-peak, the phase alone, and the steps each start took.
+peak and the steps each start took.
 """
 import tracemalloc
 
@@ -58,12 +60,24 @@ def _kept(system, k, N):
     return kept
 
 
-def _cycle(system, f, k, N, gs, A, kept=None):
+def _cycle(system, f, k, N, gs, A, kept):
     slabs = None
     for l in range(k):
-        slabs = _fill_slabs(*kept[l], f, gs, l, N) if kept else _filled(system, f, k, l, N, gs)[2]
+        slabs = _fill_slabs(*kept[l], f, gs, l, N)
         _sweep(slabs, _block_grams(slabs), gs[l], A, False)
     return slabs
+
+
+def _first_order(system, f, N, G0):
+    """The kernel work of one k = 1 ascent: stack and fill the slabs, then the power phase of every start."""
+    data, rows, _ = _filled(system, f, 1, 0, N, [G0[0]])
+    G = G0.copy()
+    return G, _power_phase(data, rows, system.weights, G)
+
+
+def _starts(M, rng):
+    """The all-ones start and two seeded ones, as the ascent draws them."""
+    return np.stack([np.ones(M, dtype=np.complex128)] + [np.exp(2j * np.pi * rng.random(M)) for _ in range(2)])
 
 
 @pytest.mark.parametrize("system, k, N", [
@@ -79,21 +93,33 @@ def test_fill_and_sweep(benchmark, system, k, N):
     M = system.size
     f = random_mean_zero(system, 2)
     rng = np.random.default_rng(0)
-    gs = [np.exp(2j * np.pi * rng.random(M)) for _ in range(k)]
     system.orbit_indices(0, 1, 1)  # cycle coordinates, built once per system
-    A = _kernel_apply(_filled(system, f, k, 0, N, gs)[2], gs[0])
+    if k == 1:
+        run, args = _first_order, (system, f, N, _starts(M, rng))
+    else:
+        gs = [np.exp(2j * np.pi * rng.random(M)) for _ in range(k)]
+        A = _kernel_apply(_filled(system, f, k, 0, N, gs)[2], gs[0])
+        # the timed rounds go on from the companions the previous round left
+        run, args = _cycle, (system, f, k, N, gs, A, _kept(system, k, N))
     tracemalloc.start()
     try:
-        _cycle(system, f, k, N, [g.copy() for g in gs], A.copy(), _kept(system, k, N) if k > 1 else None)
+        if k == 1:
+            run(*args)
+        else:  # on copies, with the kept kernels and layouts made inside
+            run(system, f, k, N, [g.copy() for g in gs], A.copy(), _kept(system, k, N))
         benchmark.extra_info["tracemalloc_peak_mib"] = tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
-    kept = _kept(system, k, N) if k > 1 else None
     benchmark.extra_info["slab_fill_fraction"] = [sum(rows.size * min(_SLAB, M - s) for s, rows in
                                                       zip(range(0, M, _SLAB), _slab_rows(system, l, N))) / M**2
                                                   for l in range(k)]
-    slabs = benchmark.pedantic(_cycle, args=(system, f, k, N, gs, A, kept), rounds=20, warmup_rounds=1)
-    assert all(np.isfinite(S).all() for _, _, S in slabs)
+    out = benchmark.pedantic(run, args=args, rounds=20, warmup_rounds=1)
+    if k == 1:
+        G, steps = out
+        benchmark.extra_info["steps_per_start"] = steps.tolist()
+        assert np.allclose(np.abs(G), 1.0)
+    else:
+        assert all(np.isfinite(S).all() for _, _, S in out)
 
 
 @pytest.mark.parametrize("system, N", [
@@ -104,10 +130,8 @@ def test_fill_and_sweep(benchmark, system, k, N):
 def test_power_phase(benchmark, system, N):
     M = system.size
     f = random_mean_zero(system, 2)
-    rng = np.random.default_rng(2)
-    starts = [np.ones(M, dtype=np.complex128)] + [np.exp(2j * np.pi * rng.random(M)) for _ in range(2)]
-    data, rows, _ = _filled(system, f, 1, 0, N, starts[:1])
-    G0 = np.stack(starts)
+    G0 = _starts(M, np.random.default_rng(2))
+    data, rows, _ = _filled(system, f, 1, 0, N, [G0[0]])
 
     def run():
         G = G0.copy()

@@ -362,13 +362,19 @@ def _seeded(sequence, seed: int, length: int, nonnegative: bool = False):
     return np.abs(draw(length)) if nonnegative else draw(length) + 1j * draw(length)
 
 
-def _check_vdc(sequence=None, H_values=None, seed: int = 0, length: int = 32):
+def _length(sequence, length: int) -> float:
+    """The length of ``sequence``, or of the draw that stands in for it, for a cost estimate."""
+    return float(len(sequence) if sequence is not None else length)
+
+
+def _check_vdc(sequence=None, H_values=None, seed: int = 0, length: int = 32, budget=None):
     """Second-moment averaging bound for a raw complex sequence.
 
     For every window size H between 1 and N the squared mean of the sequence
     is controlled by a weighted sum of autocorrelations; both sides are exact
     sums, so the slack is a hard number.
     """
+    check_budget(_length(sequence, length) ** 2, budget, "vdc")  # a sum per H up to N, charged before the draw
     v = np.asarray(_seeded(sequence, seed, length), dtype=np.complex128)
     N = len(v)
     if N < 1:
@@ -394,6 +400,7 @@ def _check_vdc_sup(sequence=None, H_values=None, seed: int = 0, length: int = 32
     autocorrelations by their moduli, which buys enough room that bracket
     width never threatens the margin.
     """
+    check_budget(_length(sequence, length) ** 2, budget, "vdc_sup")
     u = np.asarray(_seeded(sequence, seed, length), dtype=np.complex128)
     N = len(u)
     if N < 2:
@@ -420,8 +427,10 @@ def _check_vdc_systems(system=None, f=None, N_values=(8, 16, 32), seed: int = 0,
         yield _row(N, lhs, rhs)
 
 
-def _check_holder_averages(sequence=None, p_values=(0.5, 1.0, 2.0, 4.0), seed: int = 0, length: int = 64):
+def _check_holder_averages(sequence=None, p_values=(0.5, 1.0, 2.0, 4.0), seed: int = 0, length: int = 64,
+                           budget=None):
     """Power means of a nonnegative sequence are nondecreasing in the exponent."""
+    check_budget(_length(sequence, length) * len(p_values), budget, "holder_averages")
     a = np.asarray(_seeded(sequence, seed, length, nonnegative=True), dtype=np.float64)
     if np.any(a < 0):
         raise ValueError("power means need nonnegative input")
@@ -822,10 +831,12 @@ def _check_general_rbb(
     yield _row(N, lhs, rhs, f"H={H}")
 
 
-def _check_hilbert_cauchy(sequence=None, sigma: float = 0.9, pairs=None, seed: int = 0, length: int = 48):
+def _check_hilbert_cauchy(sequence=None, sigma: float = 0.9, pairs=None, seed: int = 0, length: int = 48,
+                          budget=None):
     """Difference of weighted partial sums against the summation-by-parts bound."""
     if not 0.0 < sigma <= 1.0:
         raise ValueError("sigma must lie in (0, 1]")
+    check_budget(_length(sequence, length) ** 2, budget, "hilbert_cauchy")  # a sum per pair (N, M)
     a = np.asarray(_seeded(sequence, seed, length), dtype=np.complex128)
     L = len(a)
     if L < 2:

@@ -6,13 +6,16 @@ The uniform average of order k maximizes
 
 over companion observables with sup-norm at most 1.  With all companions
 but g_l frozen the average is linear in g_l, A = K_l g_l, and the squared
-norm is the positive semidefinite quadratic A^H W A.  The maximization is
-Gauss-Seidel coordinate ascent on it: each value of g_l in turn takes the
-closed-form phase (or sign) that maximizes the objective with the others
-fixed, which never decreases it.  The coordinates are swept in blocks of
-16 consecutive points, and K_l is stored as one column slab per block:
-block Y keeps only the rows its columns reach, R_Y = {T^{-(l+1) n} y :
-y in Y, 1 <= n <= N}, as a dense |R_Y| x 16 array.  That is at most
+norm is the positive semidefinite quadratic A^H W A.  For k = 1 with
+complex companions the maximization is a power iteration with momentum
+on it, every start at once (see :func:`_power_phase`).  Otherwise (k >= 2,
+or the real-sign class) it is Gauss-Seidel coordinate ascent: each value
+of g_l in turn takes the closed-form phase (or sign) that maximizes the
+objective with the others fixed, which never decreases it.  The
+coordinates are swept in blocks of 16 consecutive points, and K_l is
+stored as one column slab per block: block Y keeps only the rows its
+columns reach, R_Y = {T^{-(l+1) n} y : y in Y, 1 <= n <= N}, as a dense
+|R_Y| x 16 array.  That is at most
 (l + 1) N + 15 rows where the labels follow the orbits (a cycle in natural
 order) and at most 16 N rows in general, so the kernel holds at most
 M min(M, 16 N) entries and no M x M array exists; when R_Y covers every
@@ -33,14 +36,13 @@ Python numbers once per kernel fill (once per call for k = 1), so the
 scalar loop reads them directly on every sweep.  The iterates are those
 of the plain one-coordinate-at-a-time sweep, up to rounding.
 
-For k = 1 with complex companions the sweeps are a polish: every start
-first runs a power phase, g <- phase(K^H W K g) with momentum, all live
-starts at once as the rows of one array, each product one matrix-vector
-product per slab and start, so a start's iterates do not depend on the
-other starts (see :func:`_power_phase`).  A power step never lowers the
-objective, and its cost does not grow with a Python loop over points.
-Tiny instances can be solved exactly over the real-sign class by
-enumeration.
+For k = 1 with complex companions no Gram rows are built and no sweep
+runs: every start runs the power phase, g <- phase(K^H W K g) with
+momentum, all live starts at once as the rows of one array, each product
+one matrix-vector product per slab and start, so a start's iterates do
+not depend on the other starts.  A power step never lowers the objective,
+and its cost does not grow with a Python loop over points.  Tiny
+instances can be solved exactly over the real-sign class by enumeration.
 
 Results are memoised per process (see :mod:`wwlab._util`): a repeated
 call with the same system map and weights, observable values and numeric
@@ -68,7 +70,7 @@ from .supbrackets import Bracket, _grid_sup_rows
 from .systems import FiniteSystem, Observable
 
 _BRUTE_CASE_CAP = 1 << 20
-_ASCENT_TOL = 1e-9  # a restart stops once a cycle raises the objective by at most this, relative
+_ASCENT_TOL = 1e-9  # a restart stops once a cycle or power step raises the objective by at most this, relative
 
 
 @dataclass(frozen=True)
@@ -103,12 +105,13 @@ class MrecBracket:
     triangle-inequality cap ||f||_2 unless brute-force enumeration closed
     the gap (then the two endpoints agree on the searched class).
     ``trace`` holds the reported restart's objective before its first sweep
-    and after each sweep cycle; at k = 1 with complex companions
-    ``trace[0]`` is the objective the power phase reached.  ``converged``
-    says whether the reported restart's sweeps stopped on _ASCENT_TOL
-    rather than at ``max_cycles``, which bounds the sweep cycles only
-    (always true for brute force, which is exact).  It is diagnostic only:
-    CLI rows and cache records omit it.
+    and after each sweep cycle; at k = 1 with complex companions, where no
+    sweep runs, it is [the objective the power phase reached].
+    ``converged`` says whether the reported restart's sweeps stopped on
+    _ASCENT_TOL rather than at ``max_cycles``, or at k = 1 with complex
+    companions whether its power phase stopped on _ASCENT_TOL before
+    _POWER_STEPS steps (always true for brute force, which is exact).  It
+    is diagnostic only: CLI rows and cache records omit it.
     """
 
     lower: float
@@ -169,11 +172,12 @@ def _slab_rows(system: FiniteSystem, l: int, N: int) -> list:
     columns of K_l is zero.
     """
     n = np.arange(1, N + 1)
+    mark = np.zeros(system.size, dtype=bool)  # the points one slab reaches, cleared after each slab
     rows = []
     for s in range(0, system.size, _SLAB):
-        reach = np.sort(system.orbit_indices(np.arange(s, min(s + _SLAB, system.size))[:, None], -(l + 1), n),
-                        axis=None)
-        rows.append(reach[np.diff(reach, prepend=-1) > 0])
+        mark[system.orbit_indices(np.arange(s, min(s + _SLAB, system.size))[:, None], -(l + 1), n)] = True
+        rows.append(np.flatnonzero(mark))
+        mark[rows[-1]] = False
     return rows
 
 
@@ -299,63 +303,77 @@ def _power_phase(data, rows, w, G) -> np.ndarray:
     batched matrix-vector matmul over (slab, start) items, slab-major so
     that each slab is read once per product, and K g goes back from slab
     rows to points by one bincount.  A start's iterates therefore do not
-    depend on which other starts share the batch, bit for bit.  Returns
-    the number of steps each start took.
+    depend on which other starts share the batch, bit for bit.  A step's
+    objective is read from the ascent product the next step needs, as
+    Re(g^H c), summed without BLAS so that its bits do not depend on the
+    thread count either.  Returns the number of steps each start took.
     """
     R, M = G.shape
     nslab, height, width = data.shape
     pad = _padded_rows(rows, M)  # pad rows read and write point M, which stays zero
     w = np.append(w, 0.0)
     Xs = np.zeros((R, nslab * width), dtype=np.complex128)  # zero beyond point M - 1
+    scratch = np.empty(nslab * R * height, dtype=np.complex128)  # K g per (slab, start), then W K g gathered
 
-    def index(r):  # float index of part p of start j's point pad[s, i] in an (r, M + 1) array, at (s, j, i, p)
-        return (2 * ((M + 1) * np.arange(r)[:, None] + pad[:, None]))[..., None] + np.arange(2)
+    # float index of part p of start j's point pad[s, i] in an (R, M + 1) array, at (s, j, i, p); its
+    # first r starts index an (r, M + 1) array
+    full = (2 * ((M + 1) * np.arange(R)[:, None] + pad[:, None]))[..., None] + np.arange(2)
 
-    def apply(X, at):  # K g per row g of X, with the zero point M, through at = index(len(X))
+    def index(r):
+        return np.ascontiguousarray(full[:, :r])
+
+    def gradient(X, at):  # K^H W K g per row g of X, through at = index(len(X))
         r = len(X)
         Xs[:r, :M] = X
-        # a C-ordered out makes the items slab-major
+        # K g with the zero point M; a C-ordered out makes the items slab-major
         P = np.matmul(data[:, None], Xs[:r].reshape(r, nslab, width, 1).transpose(1, 0, 2, 3),
-                      out=np.empty((nslab, r, height, 1), dtype=np.complex128))
-        return np.bincount(at.ravel(), P.view(np.float64).ravel(), 2 * r * (M + 1)).view(
+                      out=scratch[:nslab * r * height].reshape(nslab, r, height, 1))
+        A = np.bincount(at.ravel(), P.view(np.float64).ravel(), 2 * r * (M + 1)).view(
             np.complex128).reshape(r, M + 1)
-
-    def ascent(A, at):  # K^H W A from (W A)^H S per slab and start: no conjugate copy of the slabs
-        r = len(A)
-        # (W A) gathered C-ordered: OpenBLAS rounds a strided vector otherwise than a contiguous one
-        V = np.take((w * A).view(np.float64), at).view(np.complex128).reshape(nslab, r, 1, height)
+        # K^H W A from (W A)^H S per slab and start: no conjugate copy of the slabs; (W A) gathered
+        # C-ordered into the buffer of K g (OpenBLAS rounds a strided vector otherwise than a contiguous
+        # one), unbuffered: every index is in range, so "clip" clips none
+        A *= w
+        np.take(A.view(np.float64), at, out=P.view(np.float64).reshape(at.shape), mode="clip")
+        V = P.reshape(nslab, r, 1, height)
         c = np.conj(V, out=V) @ data[:, None]
         return np.conj(c.reshape(nslab, r, width).transpose(1, 0, 2), order="C").reshape(r, -1)[:, :M]
 
-    def objective(A):
-        return (w * (A.real ** 2 + A.imag ** 2)).sum(axis=1)
+    def objective(X, c):  # Re(g^H c) per row: one real dot product of the parts, not BLAS's threaded one
+        return np.einsum("ij,ij->i", X.view(np.float64), c.view(np.float64))
 
     live = np.arange(R)
     taken = np.full(R, _POWER_STEPS)
-    at = index(R)
+    at = full
     g = G.copy()
-    A = apply(g, at)
-    obj = objective(A)
+    c = gradient(g, at)
+    obj = objective(g, c)
     last = g  # g_prev: the first step has no momentum
     for step in range(1, _POWER_STEPS + 1):
-        c = ascent(A, at)
-        y = _phase(c + _MOMENTUM * np.abs(c) * (g - last), g)
-        Ay = apply(y, at)
-        new = objective(Ay)
+        y = np.subtract(g, last)
+        move = np.abs(c)
+        move *= _MOMENTUM
+        y *= move
+        y += c
+        y = _phase(y, g)
+        cy = gradient(y, at)
+        new = objective(y, cy)
         back = new < obj
         if back.any():
             y[back] = _phase(c[back], g[back])
-            Ay[back] = apply(y[back], index(back.sum()))
-            new[back] = objective(Ay[back])
-        stay = new < obj  # a power step lowers the objective only by rounding, at a fixed point
-        if stay.any():
-            y[stay], Ay[stay], new[stay] = g[stay], A[stay], obj[stay]
+            cy[back] = gradient(y[back], index(back.sum()))
+            new[back] = objective(y[back], cy[back])
+            stay = new < obj  # a power step lowers the objective only by rounding, at a fixed point
+            if stay.any():
+                y[stay], cy[stay], new[stay] = g[stay], c[stay], obj[stay]
+            last = np.where(back[:, None], y, g)
+        else:
+            last = g
         moving = new - obj > _ASCENT_TOL * np.maximum(1.0, obj)
-        last = np.where(back[:, None], y, g)
-        g, A, obj = y, Ay, new
+        g, c, obj = y, cy, new
         if not moving.all():
             G[live[~moving]], taken[live[~moving]] = g[~moving], step
-            live, g, A, obj, last = live[moving], g[moving], A[moving], obj[moving], last[moving]
+            live, g, c, obj, last = live[moving], g[moving], c[moving], obj[moving], last[moving]
             if not live.size:
                 break
             at = index(live.size)
@@ -419,12 +437,13 @@ def uniform_mrec_bracket(
 ) -> MrecBracket:
     """Maximize the order-k recurrence norm over companions bounded by 1.
 
-    Alternating maximization from seeded starts (plus the all-ones start),
-    at k = 1 with complex companions after a power phase from every start;
-    the per-sweep objective trace is monotone by construction.  Restarts
-    that tie up to a relative 1e-12 report the earliest one.  With
-    ``brute_force`` the real-sign class {-1, +1}^points per companion is
-    enumerated exactly instead (k <= 2 and small systems only).
+    Maximization from seeded starts (plus the all-ones start): at k = 1
+    with complex companions the momentum power phase from every start,
+    otherwise alternating coordinate sweeps, at most ``max_cycles`` cycles
+    per start, whose per-sweep objective trace is monotone by construction.
+    Restarts that tie up to a relative 1e-12 report the earliest one.
+    With ``brute_force`` the real-sign class {-1, +1}^points per companion
+    is enumerated exactly instead (k <= 2 and small systems only).
     """
     if k < 1:
         raise ValueError("order k must be >= 1")
@@ -441,7 +460,11 @@ def uniform_mrec_bracket(
             raise ValueError(f"brute force would enumerate {cases} cases (cap {_BRUTE_CASE_CAP})")
         check_budget(float(cases) * N * M, budget, "uniform_mrec_bracket brute force")
     else:
-        est = (restarts + 1) * max_cycles * k * (float(N) * M + M * min(M, _SLAB * N))
+        slab_entries = M * min(M, _SLAB * N)
+        if k == 1 and not real_signs:  # two slab products per power step, after one fill
+            est = (restarts + 1) * _POWER_STEPS * 2.0 * slab_entries + float(N) * M
+        else:
+            est = (restarts + 1) * max_cycles * k * (float(N) * M + slab_entries)
         check_budget(est, budget, "uniform_mrec_bracket")
     key = content_key(system, [f], "uniform_mrec_bracket", k, N, restarts, seed, max_cycles, real_signs,
                       brute_force)
@@ -498,23 +521,25 @@ def _ascent_bracket(system, f, k, N, restarts, seed, max_cycles, real_signs) -> 
             starts.append([np.exp(2j * np.pi * rng.random(M)) for _ in range(k)])
     rows = [_slab_rows(system, l, N) for l in range(k)]
     kernels = [_stack_slabs(system, r) for r in rows]  # one per companion, refilled in place
+    stopped = [False] * len(starts)  # whether each start's power phase stopped on _ASCENT_TOL
     if k == 1:  # the kernel never changes, so its layout streams slab by slab
         slabs = _fill_slabs(*kernels[0], _slab_layout(system, 1, 0, N, rows[0]), f, starts[0], 0, N)
-        grams = _block_grams(slabs)
-        if not real_signs:
+        if real_signs:
+            grams = _block_grams(slabs)
+        else:  # the power phase is the whole ascent: no Gram rows, no sweeps
             G = np.stack([g for g, in starts])
-            _power_phase(kernels[0][0], rows[0], w, G)
+            stopped = (_power_phase(kernels[0][0], rows[0], w, G) < _POWER_STEPS).tolist()
             starts = [[g] for g in G]
+            max_cycles = 0  # the loop below only reads each start's objective
     else:
         layouts = [list(_slab_layout(system, k, l, N, rows[l])) for l in range(k)]
-    for g_list in starts:
+    for g_list, converged in zip(starts, stopped):
         if k > 1:
             slabs = _fill_slabs(*kernels[0], layouts[0], f, g_list, 0, N)
             grams = _block_grams(slabs)
         A = _kernel_apply(slabs, g_list[0])
         obj = fsum((w * np.abs(A) ** 2).tolist())
         trace = [obj]
-        converged = False
         for cycle in range(max_cycles):
             for l in range(k):
                 if k > 1 and (cycle or l):

@@ -121,23 +121,18 @@ def test_criterion_13_recomputes_every_run(monkeypatch):
     from wwlab import recurrence
     from wwlab.systems import cyclic_shift, random_mean_zero
 
-    sweeps = []
-    real_sweep = recurrence._sweep
-
-    def counting_sweep(*args):
-        sweeps.append(1)
-        real_sweep(*args)
-
-    monkeypatch.setattr(recurrence, "_sweep", counting_sweep)
+    ascents = []
+    real_ascent = recurrence._ascent_bracket
+    monkeypatch.setattr(recurrence, "_ascent_bracket", lambda *a: ascents.append(a) or real_ascent(*a))
     per_run = []
 
     def probe(threads):
-        before = len(sweeps)
+        before = len(ascents)
         system = cyclic_shift(8)
         m = recurrence.uniform_mrec_bracket(system, random_mean_zero(system, 3), 1, 16)
-        per_run.append(len(sweeps) - before)
+        per_run.append(len(ascents) - before)
         return [repr(m.lower)]
 
     monkeypatch.setattr(acceptance, "_digest", probe)
     assert acceptance.criterion_13()[1]
-    assert len(per_run) == 4 and per_run[0] > 0 and len(set(per_run)) == 1
+    assert per_run == [1, 1, 1, 1]

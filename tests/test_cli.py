@@ -513,6 +513,27 @@ def test_main_failing_check_exit_code(tmp_path, monkeypatch, capsys):
     assert "verdict: False" in capsys.readouterr().out
 
 
+_LONG_SEQUENCE = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from wwlab.cli import main
+sys.exit(main(["run", "--op", sys.argv[1], "--extra", sys.argv[2], "--no-cache", "--out", sys.argv[3]]))
+"""
+
+
+@pytest.mark.parametrize("op, length", [(op, length) for op in ("check:vdc", "check:vdc_sup", "check:hilbert_cauchy")
+                                        for length in (10**8, 2**40)] + [("check:holder_averages", 2**40)])
+def test_pure_sequence_checks_refuse_long_sequences_before_drawing(tmp_path, op, length):
+    # each would draw `length` points before any other check; under the child's
+    # 1 GiB address-space cap that ended in a numpy MemoryError traceback (exit 1)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "1"}
+    env.pop("WWLAB_BUDGET", None)
+    out = subprocess.run([sys.executable, "-c", _LONG_SEQUENCE, op, json.dumps({"length": length}), str(tmp_path)],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 2, out.stderr
+    assert "budget refusal" in out.stderr
+
+
 def test_main_report_round_trip(tmp_path, capsys):
     run = [
         "run", "--op", "ww", "--system", "cyclic:5", "--f", "character:1",

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from wwlab import averages, recurrence, supbrackets
-from wwlab._util import BudgetExceeded, fsum
+from wwlab._util import DEFAULT_BUDGET, BudgetExceeded, fsum
 from wwlab.averages import CubeAssignment, cube_product
 from wwlab.recurrence import (
     ExponentVector,
@@ -247,13 +247,14 @@ def _power_phase_of(system, f, N):
 def _oracle_ascent(system, f, k, N, restarts=2, seed=0, tol=1e-9, max_cycles=60, real_signs=False, power=None):
     """Plain one-coordinate-at-a-time ascent that rebuilds K and A every sweep.
 
-    At k = 1 with complex companions the sweeps begin where ``power`` takes
-    the starts.  Returns (objective, witnesses, trace) of every restart.
+    At k = 1 with complex companions ``power`` is the whole ascent: it takes
+    the starts and no sweep follows.  Returns (objective, witnesses, trace)
+    of every restart.
     """
     M, w = system.size, system.weights
     starts = _seeded_starts(M, k, restarts, seed, real_signs)
     if k == 1 and not real_signs:
-        starts = power(starts)
+        starts, max_cycles = power(starts), 0
     runs = []
     for gs in starts:
         obj = _oracle_objective(system, f, gs, k, N)
@@ -501,12 +502,18 @@ def test_ascent_keeps_no_dense_kernel():
 
 
 def test_budget_estimate_charges_the_slab_kernel():
-    # 3 starts x 60 cycles x (N M + M min(M, 16 N)); refused before any allocation
+    # refused before any allocation; k = 1 with complex companions: 3 starts x
+    # _POWER_STEPS power steps x 2 slab products of M min(M, 16 N) entries, plus the fill's N M
     system = random_permutation(20000, 0)
     f = random_mean_zero(system, 1)
     with pytest.raises(BudgetExceeded) as info:
         uniform_mrec_bracket(system, f, 1, 16, budget=1.0)
-    assert info.value.estimate == 180 * (16.0 * 20000 + 20000 * 256)
+    assert info.value.estimate == 3 * 1000 * 2 * 20000 * 256 + 16.0 * 20000 > DEFAULT_BUDGET
+    # the sweeps: 3 starts x 60 cycles x k x (N M + M min(M, 16 N))
+    for k, real_signs in ((1, True), (2, False)):
+        with pytest.raises(BudgetExceeded) as info:
+            uniform_mrec_bracket(system, f, k, 16, real_signs=real_signs, budget=1.0)
+        assert info.value.estimate == 180 * k * (16.0 * 20000 + 20000 * 256)
 
 
 _THREAD_PROBE = """
@@ -545,29 +552,28 @@ def test_tied_restarts_report_the_earliest():
         assert np.array_equal(got, want)
 
 
-def _counting_sweeps(monkeypatch):
-    calls = []
-    real_sweep = recurrence._sweep
-
-    def counting_sweep(*args):
-        calls.append(1)
-        real_sweep(*args)
-
-    monkeypatch.setattr(recurrence, "_sweep", counting_sweep)
+def _counting(monkeypatch, *names):
+    """Count the calls of each named function of ``recurrence``, which still runs."""
+    calls = {name: [] for name in names}
+    for name in names:
+        real = getattr(recurrence, name)
+        monkeypatch.setattr(recurrence, name, lambda *a, _name=name, _real=real: calls[_name].append(1) or _real(*a))
     return calls
 
 
 def test_uniform_bracket_memo_hit_is_a_fresh_copy(monkeypatch):
     system = cyclic_shift(8)
     f = random_mean_zero(system, 5)
-    sweeps = _counting_sweeps(monkeypatch)
+    calls = _counting(monkeypatch, "_ascent_bracket", "_block_grams", "_sweep")
     first = uniform_mrec_bracket(system, f, 1, 16)
-    done = len(sweeps)
+    assert len(calls["_ascent_bracket"]) == 1
+    # the power phase is the whole first-order complex ascent: no Gram rows, no sweeps
+    assert not calls["_block_grams"] and not calls["_sweep"]
     kept = ([g.copy() for g in first.witnesses], list(first.trace))
     first.witnesses[0][:] = 0.0
     first.trace.append(-1.0)
     again = uniform_mrec_bracket(system, f, 1, 16)
-    assert len(sweeps) == done  # served from the memo
+    assert len(calls["_ascent_bracket"]) == 1  # served from the memo
     assert again.lower == first.lower and again.converged == first.converged
     assert all(np.array_equal(a, b) for a, b in zip(again.witnesses, kept[0]))
     assert again.trace == kept[1]
@@ -609,13 +615,21 @@ def test_uniform_bracket_memo_keeps_the_budget_guard():
 def test_uniform_bracket_converged_flag(monkeypatch):
     system = cyclic_shift(8)
     f = random_mean_zero(system, 5)
+    # k = 1 with complex companions: the reported start's power phase stopped on tol,
+    # and the trace is the objective it reached
     done = uniform_mrec_bracket(system, f, 1, 16)
-    assert done.converged and len(done.trace) - 1 < 60
-    # one power step leaves the sweeps more than two cycles from tol
-    monkeypatch.setattr(recurrence, "_POWER_STEPS", 1)
-    capped = uniform_mrec_bracket(system, f, 1, 16, max_cycles=2)
+    assert done.converged and len(done.trace) == 1
+    assert done.lower == math.sqrt(done.trace[0])
+    # the sweeps (k >= 2 and the sign class) stop on tol, or at max_cycles
+    assert uniform_mrec_bracket(system, f, 2, 16).converged
+    capped = uniform_mrec_bracket(system, f, 2, 16, max_cycles=2)
     assert not capped.converged and len(capped.trace) == 3
     assert capped.trace[-1] - capped.trace[-2] > recurrence._ASCENT_TOL * max(1.0, capped.trace[-2])
+    assert not uniform_mrec_bracket(system, f, 1, 16, real_signs=True, max_cycles=1).converged
+    # one power step leaves every start short of tol
+    monkeypatch.setattr(recurrence, "_POWER_STEPS", 1)
+    short = uniform_mrec_bracket(system, f, 1, 15)
+    assert not short.converged and len(short.trace) == 1
     small = cyclic_shift(4)
     assert uniform_mrec_bracket(small, random_mean_zero(small, 7), 1, 12, brute_force=True).converged
 
