@@ -40,6 +40,31 @@ def test_strong_kernel_chunk_gather(benchmark):
     assert seq.shape == (_POINT_CHUNK_BUDGET // N, N) and seq.flags.c_contiguous
 
 
+def _read_all_rows(system, N):
+    values = np.exp(2j * np.pi * np.random.default_rng(0).random(system.size))
+
+    def read_all():
+        for points, rows in system.orbit_rows([(values, 1)], N, _POINT_CHUNK_BUDGET):
+            pass
+        return points, rows
+
+    return read_all
+
+
+def test_strong_kernel_orbit_rows(benchmark):
+    # the same pass through the cycle-stretch reader: long cycles, one stretch per run
+    system = random_permutation(8192, 1)
+    points, rows = benchmark.pedantic(_read_all_rows(system, 1024), rounds=10, warmup_rounds=1)
+    assert rows.shape == (points.size, 1024) and rows.flags.c_contiguous
+
+
+def test_orbit_rows_identity(benchmark):
+    # every cycle of length one: the short-cycle pass, one tiling per chunk
+    system = identity_system(20000)
+    points, rows = benchmark.pedantic(_read_all_rows(system, 64), rounds=10, warmup_rounds=1)
+    assert np.array_equal(rows, np.repeat(rows[:, :1], 64, axis=1))
+
+
 def test_multiple_recurrence_average_streamed(benchmark):
     # two observables at N = 1024, gathered and summed one chunk of counts at a time
     system = random_permutation(8192, 1)

@@ -31,6 +31,7 @@ import numpy as np
 
 from ._util import check_budget, fsum, fsum_complex
 from .averages import (
+    _POINT_CHUNK_BUDGET,
     CubeAssignment,
     ScheduleR,
     _average_pipeline,
@@ -302,7 +303,7 @@ def precsim_fit(f_series, g_series):
 
 # -- the named-check registry ------------------------------------------------
 
-_MAXIMAL_CHUNK = 1 << 16  # samples per chunk of lengths in the maximal check (512 KiB)
+_SAMPLE_CHUNK = 1 << 16  # samples per chunk in the maximal and power-mean checks (512 KiB)
 
 _POLICY_BRACKETS = "lhs at bracket upper, rhs at bracket lower"
 _POLICY_EXACT = "both sides exact"
@@ -429,13 +430,24 @@ def _check_vdc_systems(system=None, f=None, N_values=(8, 16, 32), seed: int = 0,
 
 def _check_holder_averages(sequence=None, p_values=(0.5, 1.0, 2.0, 4.0), seed: int = 0, length: int = 64,
                            budget=None):
-    """Power means of a nonnegative sequence are nondecreasing in the exponent."""
+    """Power means of a nonnegative sequence are nondecreasing in the exponent.
+
+    The sequence, or its seeded draw, is read in chunks of _SAMPLE_CHUNK
+    values, drawn afresh for every exponent: the same values and the same
+    exactly rounded sums as one whole array, in memory of one chunk.
+    """
     check_budget(_length(sequence, length) * len(p_values), budget, "holder_averages")
-    a = np.asarray(_seeded(sequence, seed, length, nonnegative=True), dtype=np.float64)
-    if np.any(a < 0):
+    N = len(sequence) if sequence is not None else length
+    a = None if sequence is None else np.asarray(sequence, dtype=np.float64)
+    if a is not None and np.any(a < 0):
         raise ValueError("power means need nonnegative input")
-    N = len(a)
-    means = [fsum((a**p).tolist()) / N for p in p_values]
+
+    def chunks():
+        draw = np.random.default_rng(seed).standard_normal
+        for i in range(0, N, _SAMPLE_CHUNK):
+            yield np.abs(draw(min(_SAMPLE_CHUNK, N - i))) if a is None else a[i : i + _SAMPLE_CHUNK]
+
+    means = [fsum(x for c in chunks() for x in (c**p).tolist()) / N for p in p_values]
     levels = [m ** (1.0 / p) for m, p in zip(means, p_values)]
     for i in range(len(p_values) - 1):
         yield _row(i + 1, levels[i], levels[i + 1], f"p={p_values[i]:g}<={p_values[i + 1]:g}")
@@ -459,7 +471,7 @@ def _check_maximal(system=None, f=None, p: float = 2.0, N_cap=None, seed: int = 
     # lengths in chunks: a running sum and a running maximum per point
     total = np.zeros(system.size)
     m = np.full(system.size, -np.inf)
-    step = max(1, _MAXIMAL_CHUNK // system.size)
+    step = max(1, _SAMPLE_CHUNK // system.size)
     for start in range(1, N_cap + 1, step):
         n = np.arange(start, min(start + step, N_cap + 1))[:, None]
         sums = vals.real[system.orbit_indices(slice(None), 1, n)]  # row i holds f o T^(start+i)
@@ -747,6 +759,32 @@ def _check_poly_ww(
         yield _row(N, lhs, max(1, math.isqrt(N)) ** (-1.0 / expo) + base ** (1.0 / expo))
 
 
+def _companion_norms(system, functions, exponents, system_y, g_list, b_steps, N: int) -> np.ndarray:
+    """Per point x, the L2 norm over y of (1/N) sum_n prod_j f_j(T^{a_j n} x) W_n(y).
+
+    Points x go in chunks of about _POINT_CHUNK_BUDGET entries of the
+    (x, y) matrix, so only the companion weights W are held whole.  numpy
+    forms a product with one row or one column as a matrix-vector product,
+    which rounds differently from a matrix product, and differently again
+    on fewer rows.  So no chunk holds one point of several, and a companion
+    system of one point takes every x at once, as the whole product does.
+    """
+    W = companion_weights(system_y, g_list, b_steps, N)
+    factors = [(f.values, a) for f, a in zip(functions, exponents.entries)]
+    n = np.arange(1, N + 1)[:, None]
+    M = system.size
+    lhs = np.empty(M)
+    step, x0 = (max(2, _POINT_CHUNK_BUDGET // system_y.size) if system_y.size > 1 else M), 0
+    while x0 < M:
+        x1 = M if M - x0 <= step + 1 else x0 + step
+        x = np.arange(x0, x1)
+        A = system.orbit_product(factors, x, n).T @ W  # point x by companion point y
+        A /= N
+        lhs[x] = np.sqrt((np.abs(A) ** 2 * system_y.weights[None, :]).sum(axis=1))
+        x0 = x1
+    return lhs
+
+
 def _check_intermediate_F_ptwise(
     system=None, system_y=None, functions=None, exponents=None, g_list=None,
     b_steps=None, N_values=(32,), oversample: int = 16, seed: int = 0, budget=None,
@@ -770,10 +808,7 @@ def _check_intermediate_F_ptwise(
     for N in N_values:
         if N <= exponents.first_abs**2:
             raise ValueError("need N > a_1^2")
-        W = companion_weights(system_y, g_list, b_steps, N)
-        S = companion_weights(system, functions, exponents.entries, N)
-        A = S.T @ W / N  # point x by companion point y
-        lhs_x = np.sqrt((np.abs(A) ** 2 * system_y.weights[None, :]).sum(axis=1))
+        lhs_x = _companion_norms(system, functions, exponents, system_y, g_list, b_steps, N)
         dom = intermediate_F(system, functions, exponents, K, N, oversample, budget=budget)
         flo = np.asarray(dom.lower.values).real
         i = int(np.argmax(lhs_x / np.where(flo > 0, flo, np.inf)))

@@ -27,7 +27,7 @@ import numpy as np
 
 from ._util import check_budget, content_key, float_power, fsum, memo, pmap
 from .supbrackets import Bracket, _polyphase_rows, sup_norm_trig
-from .systems import FiniteSystem, Observable, shift_observable
+from .systems import FiniteSystem, Observable, _row_chunks, shift_observable
 
 _POINT_CHUNK_BUDGET = 1 << 18  # complex entries gathered per point chunk (4 MiB)
 
@@ -138,31 +138,17 @@ def cube_product(system: FiniteSystem, assignment: CubeAssignment, h) -> Observa
     return Observable(system.orbit_product(factors, slice(None), 1))
 
 
-def _row_chunks(rows: int, cols: int, budget: int):
-    """(slice, buffer) per chunk of about ``budget`` entries of a (rows, cols) table.
-
-    Every buffer is the leading rows of one C-ordered complex array, so a
-    pipeline that fills and consumes each chunk in turn holds one chunk at a
-    time.
-    """
-    chunk = max(1, budget // cols)
-    buf = np.empty((min(chunk, rows), cols), dtype=np.complex128)
-    for start in range(0, rows, chunk):
-        stop = min(start + chunk, rows)
-        yield slice(start, stop), buf[: stop - start]
-
-
 def _strong_kernel(system: FiniteSystem, factors, degree: int, N: int, oversample: int, norm_p: int):
     """(lower, upper) of || sup_t |(1/N) sum_n e^{2 pi i p_t(n)} prod_j F_j(T^{a_j n} x)| ||_p.
 
     ``factors`` lists (values of F_j, step a_j); p_t(n) = t_1 n + ... +
-    t_d n^d with d = ``degree``.
+    t_d n^d with d = ``degree``.  The rows come in cycle order from
+    ``FiniteSystem.orbit_rows`` and their results go back to their points;
+    a row's bracket does not depend on the chunk it arrives in.
     """
-    points, n = np.arange(system.size)[:, None], np.arange(1, N + 1)
     lows = np.empty(system.size)
     ups = np.empty(system.size)
-    for x, seq in _row_chunks(system.size, N, _POINT_CHUNK_BUDGET):
-        system.orbit_product(factors, points[x], n, out=seq)  # one orbit per row
+    for x, seq in system.orbit_rows(factors, N, _POINT_CHUNK_BUDGET):
         lows[x], ups[x], _ = _polyphase_rows(seq, degree, oversample)
     w = system.weights
     if norm_p == 2:

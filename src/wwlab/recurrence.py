@@ -65,9 +65,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._util import check_budget, content_key, float_power, fsum, memo
-from .averages import _POINT_CHUNK_BUDGET, CubeAssignment, _row_chunks, _strong_kernel, cube_product
+from .averages import _POINT_CHUNK_BUDGET, CubeAssignment, _strong_kernel, cube_product
 from .supbrackets import Bracket, _grid_sup_rows
-from .systems import FiniteSystem, Observable
+from .systems import FiniteSystem, Observable, _row_chunks
 
 _BRUTE_CASE_CAP = 1 << 20
 _ASCENT_TOL = 1e-9  # a restart stops once a cycle or power step raises the objective by at most this, relative
@@ -690,7 +690,10 @@ def intermediate_F(
         )^{1/2^{K-1}},
 
     where G_{j,h} = prod_{eta} C^{|eta|} f_j o T^{a_j (h . eta)}.  Lower and
-    upper endpoints come from the certified supremum brackets.
+    upper endpoints come from the certified supremum brackets.  Shift tuples
+    go one at a time, each G_{j,h} built once; the rows for n = 1..N come
+    in cycle order from ``FiniteSystem.orbit_rows`` and their brackets are
+    added back at their points, so each point sums its tuples in order.
     """
     if K_order < 1:
         raise ValueError("K must be >= 1")
@@ -704,20 +707,12 @@ def intermediate_F(
     tuples = list(itertools.product(range(1, H + 1), repeat=K_order - 1))
     check_budget(len(tuples) * float(M) * N * oversample * max(1.0, math.log2(oversample * N)),
                  budget, "intermediate_F")
-    points, n = np.arange(M)[:, None], np.arange(1, N + 1)
     lo_acc = np.zeros(M)
     up_acc = np.zeros(M)
-    for x, seq in _row_chunks(M, N, _POINT_CHUNK_BUDGET):
-        tables = [system.orbit_indices(points[x], a, n) for a in exponents.entries]  # one orbit per row
-        # the chunk's orbit tables are built once, its cube products (O(M)
-        # each) once per shift tuple
-        for h in tuples:
-            cubes = [cube_product(system, CubeAssignment.diagonal(f, K_order - 1), [a * y for y in h]).values
-                     for f, a in zip(functions, exponents.entries)]
-            (c0, t0), *rest = zip(cubes, tables)
-            np.take(c0, t0, out=seq, mode="clip")
-            for cube, tbl in rest:
-                seq *= cube[tbl]
+    for h in tuples:
+        cubes = [cube_product(system, CubeAssignment.diagonal(f, K_order - 1), [a * y for y in h]).values
+                 for f, a in zip(functions, exponents.entries)]
+        for x, seq in system.orbit_rows(list(zip(cubes, exponents.entries)), N, _POINT_CHUNK_BUDGET):
             lo, up, _ = _grid_sup_rows(seq, oversample)
             lo_acc[x] += lo
             up_acc[x] += up

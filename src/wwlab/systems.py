@@ -29,10 +29,14 @@ the ``start`` of its cycle there, its position ``pos`` on it and the cycle
 orbit reader gathers through ``FiniteSystem.orbit_indices``, and every
 product of observables along orbits, prod_j v_j(T^{a_j n} x), that is
 gathered afresh goes through ``FiniteSystem.orbit_product`` (a cube shift is
-a step at n = 1).  Three readers keep their own gathers, each reusing index
-tables it builds once: the recurrence slab fill across its refills, its
-brute-force enumeration across sign combinations, and ``intermediate_F``
-across shift tuples.
+a step at n = 1).  Readers of one whole orbit per point, n = 1..N (the
+strong kernel and ``intermediate_F``), go through ``FiniteSystem.orbit_rows``
+instead: the points of a cycle see one periodic sequence, each shifted one
+step from the last, so their rows are windows of a stretch of the cycle
+gathered once, with no index table per entry.  Two readers keep their own
+gathers, each reusing index tables it builds once: the recurrence slab fill
+across its refills and its brute-force enumeration across sign
+combinations.
 """
 from __future__ import annotations
 
@@ -40,11 +44,27 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ._util import check_budget, fsum
 
 MAX_PRODUCT_POINTS = 1 << 20
 _GHK_MAX_ORDER = 4
+_SHORT_CYCLE = 32  # cycles shorter than this are read together, one pass per length (measured cut-over)
+
+
+def _row_chunks(rows: int, cols: int, budget: int):
+    """(slice, buffer) per chunk of about ``budget`` entries of a (rows, cols) table.
+
+    Every buffer is the leading rows of one C-ordered complex array, so a
+    pipeline that fills and consumes each chunk in turn holds one chunk at a
+    time.
+    """
+    chunk = max(1, budget // cols)
+    buf = np.empty((min(chunk, rows), cols), dtype=np.complex128)
+    for start in range(0, rows, chunk):
+        stop = min(start + chunk, rows)
+        yield slice(start, stop), buf[: stop - start]
 
 
 class FiniteSystem:
@@ -91,6 +111,7 @@ class FiniteSystem:
         self._cycle_start: np.ndarray | None = None
         self._cycle_pos: np.ndarray | None = None
         self._cycle_len: np.ndarray | None = None
+        self._row_layout: tuple | None = None
         self._orbit_cache: dict[int, np.ndarray] = {}
 
     # -- basic introspection -------------------------------------------------
@@ -181,6 +202,104 @@ class FiniteSystem:
         for v, a in rest:
             out *= v[self.orbit_indices(points, a, n)]
         return out
+
+    def _ensure_row_layout(self) -> tuple:
+        """The order in which :meth:`orbit_rows` reads points, and its runs.
+
+        Points of cycles of length _SHORT_CYCLE or more come first, in
+        ``flat`` order, one run (start, stop, length, flat start) per cycle;
+        then the points of shorter cycles, grouped by length and in ``flat``
+        order within a group, one run (start, stop, length, None) per length.
+        """
+        layout = self._row_layout
+        if layout is not None:
+            return layout
+        self._ensure_cycles()
+        flat = self._cycle_flat
+        length = self._cycle_len[flat]
+        key = np.where(length < _SHORT_CYCLE, length, 0)
+        order = flat[np.argsort(key, kind="stable")]
+        order.flags.writeable = False
+        runs, at = [], 0
+        for s in np.flatnonzero((self._cycle_pos[flat] == 0) & (key == 0)).tolist():
+            L = int(length[s])
+            runs.append((at, at + L, L, s))
+            at += L
+        for L, count in enumerate(np.bincount(key, minlength=_SHORT_CYCLE).tolist()[1:], start=1):
+            if count:
+                runs.append((at, at + count, L, None))
+                at += count
+        layout = order, runs
+        self._row_layout = layout  # built whole, then published in one assignment
+        return layout
+
+    def orbit_rows(self, factors, N: int, budget: int):
+        """Chunks ``(points, rows)`` of the products prod_j v_j(T^{a_j n} x), one point per row.
+
+        Row i of ``rows`` holds n = 1..N at the point ``points[i]``; over all
+        chunks every point comes once, cycle by cycle in the order of
+        :meth:`_ensure_row_layout`, so callers put results back by
+        ``points``.  ``rows`` are the
+        leading rows of one reused buffer of about ``budget`` entries, so
+        each chunk must be consumed before the next is asked for.
+
+        Along a cycle the rows are windows of one sequence: each run of rows
+        on a long cycle reads one gathered stretch of that cycle per factor,
+        whose windows with stride a_j are its rows.  Rows on short cycles
+        read each point's values over one period, once per factor, and tile
+        them.  Each factor is placed by copies alone, and factors after the
+        first are multiplied in order over the whole chunk, so every entry
+        is the product :meth:`orbit_product` forms, bit for bit.
+        """
+        order, runs = self._ensure_row_layout()
+        n = np.arange(1, N + 1)
+        scratch, first = None, 0
+        for x, out in _row_chunks(self.size, N, budget):
+            while runs[first][1] <= x.start:  # the first run that reaches this chunk
+                first += 1
+            for j, (v, a) in enumerate(factors):
+                if j and scratch is None:
+                    scratch = np.empty_like(out)  # the first chunk is the largest
+                dst = scratch[: len(out)] if j else out
+                for p0, p1, L, s in runs[first:]:
+                    if p0 >= x.stop:
+                        break
+                    q0, q1 = max(p0, x.start), min(p1, x.stop)
+                    self._fill_run(dst[q0 - x.start : q1 - x.start], v, int(a), order[q0:q1], q0 - p0, L, s, n,
+                                   budget)
+                if j:
+                    out *= dst
+            yield order[x], out
+
+    def _fill_run(self, dst, v, a: int, points, r0: int, L: int, s, n, budget: int) -> None:
+        """v(T^{a n} x) into ``dst`` for the ``points`` of one run of :meth:`orbit_rows`.
+
+        On a long cycle (flat start ``s``) the points sit at positions r0,
+        r0 + 1, ... of the cycle, and T^{a n} x is c n further on, with c the
+        representative of a modulo L nearest 0: row i is the window of a
+        stretch of the cycle starting i values on, read with stride c.
+        """
+        flat, (rows, N) = self._cycle_flat, dst.shape
+        if s is None:  # each point's values over one period, tiled
+            at = self._cycle_pos[points][:, None] + np.multiply(a % L, np.arange(min(L, N + 1)))
+            at %= L
+            at += self._cycle_start[points][:, None]
+            np.take(v[np.take(flat, at, out=at)], n % L, axis=1, out=dst, mode="clip")
+            return
+        c = a % L
+        if 2 * c > L:
+            c -= L
+        span = rows + abs(c) * (N - 1)
+        if span > max(budget, dst.size):  # a stretch past the chunk's size: read the index table
+            np.take(v, self.orbit_indices(points[:, None], a, n), out=dst, mode="clip")
+            return
+        lead = c if c >= 0 else c * N  # the stretch's first value, c n + i at its least
+        at = np.arange(r0 + lead, r0 + lead + span)
+        at %= L
+        at += s
+        stretch = v[np.take(flat, at, out=at)]
+        item = stretch.itemsize
+        dst[...] = as_strided(stretch[c - lead :], shape=(rows, N), strides=(item, c * item))
 
     def power_indices(self, n: int) -> np.ndarray:
         """Index array of T^n, valid for any integer ``n`` (Python ints ok)."""

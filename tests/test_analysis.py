@@ -25,8 +25,9 @@ from wwlab.analysis import (
     precsim_fit,
     run_named_check,
 )
+from wwlab import analysis
 from wwlab._util import BudgetExceeded
-from wwlab.recurrence import ExponentVector, _orbit_scalars
+from wwlab.recurrence import ExponentVector, _orbit_scalars, companion_weights
 from wwlab.systems import (
     Observable, constant_observable, cyclic_shift, identity_system, random_mean_zero, random_permutation,
 )
@@ -318,6 +319,62 @@ def test_maximal_check_memory_is_linear_in_the_system():
         run_named_check("maximal", system=system, N_cap=10**8)
     with pytest.raises(BudgetExceeded):
         run_named_check("maximal", budget=1.0)  # 52 x 13 samples at the defaults
+
+
+def _holder_levels_whole(a, p_values):
+    """The power-mean levels from one whole array."""
+    return [(math.fsum((a**p).tolist()) / len(a)) ** (1.0 / p) for p in p_values]
+
+
+@pytest.mark.parametrize("length", [1, 64, 1 << 16, 3 * (1 << 16) + 5])
+def test_holder_averages_stream_the_draw_bit_for_bit(length):
+    # one chunk, one full chunk, and chunks with a short last one
+    rows = run_named_check("holder_averages", seed=3, length=length).rows
+    a = np.abs(np.random.default_rng(3).standard_normal(length))
+    levels = _holder_levels_whole(a, (0.5, 1.0, 2.0, 4.0))
+    assert [(r.lhs, r.rhs_core) for r in rows] == list(zip(levels, levels[1:]))
+    given_rows = run_named_check("holder_averages", sequence=list(a), seed=99).rows
+    assert [(r.lhs, r.rhs_core) for r in given_rows] == [(r.lhs, r.rhs_core) for r in rows]
+
+
+def test_holder_averages_hold_one_chunk():
+    # 3.0 MiB measured; 91.6 MiB with the whole draw, its powers and a list of them
+    tracemalloc.start()
+    try:
+        run_named_check("holder_averages", length=2 * 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+
+
+@pytest.mark.parametrize("points, size_y", [(None, 131), (5, 131), (2, 131), (1, 131), (4, 1)])
+def test_companion_norms_chunks_match_whole_matrix(monkeypatch, points, size_y):
+    # one chunk; chunks of 5 points that split 37 unevenly; chunks of 2 with
+    # the lone last point joining the chunk before; no one-point chunks; and
+    # a companion of one point, whose products are matrix-vector products
+    if points is not None:
+        monkeypatch.setattr(analysis, "_POINT_CHUNK_BUDGET", points * size_y)
+    system, system_y = random_permutation(37, 2), random_permutation(size_y, 3)
+    fs = [random_mean_zero(system, 1), random_mean_zero(system, 2)]
+    gs = [random_mean_zero(system_y, 4) if size_y > 1 else Observable(np.array([0.6 + 0.8j]))]
+    exps, N = ExponentVector((1, -2)), 24
+    A = companion_weights(system, fs, exps.entries, N).T @ companion_weights(system_y, gs, (1,), N) / N
+    whole = np.sqrt((np.abs(A) ** 2 * system_y.weights[None, :]).sum(axis=1))
+    assert np.array_equal(analysis._companion_norms(system, fs, exps, system_y, gs, (1,), N), whole)
+
+
+def test_intermediate_F_ptwise_takes_points_in_chunks():
+    # 18.1 MiB measured, most of it the (N, M_Y) companion weights; 88.1 MiB
+    # with the whole (N, M_X) products and the (M_X, M_Y) matrix
+    system, system_y = random_permutation(2048, 1), random_permutation(1024, 2)
+    tracemalloc.start()
+    try:
+        run_named_check("intermediate_F_ptwise", system=system, system_y=system_y, N_values=(512,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
 
 
 @settings(max_examples=30, deadline=None)

@@ -261,11 +261,29 @@ def _peak_bytes(fn, *args):
 
 
 def test_strong_kernel_holds_one_point_chunk():
-    # one reused chunk (4 MiB), its index table (2 MiB) and the grid kernel's
-    # scratch: 7.1 MiB measured, bound at about 1.25 times that; 11.0 MiB
-    # when the previous chunk stayed alive while the next was gathered
+    # one reused chunk (4 MiB) and the grid kernel's scratch and tables: 6.7
+    # MiB measured, with the cycle coordinates; 7.1 MiB with a 2 MiB index
+    # table per chunk, 11.0 MiB when the previous chunk stayed alive while
+    # the next was gathered
     system = random_permutation(8192, 1)
-    assert _peak_bytes(ww_average, system, random_mean_zero(system, 1), 1, 1024) < 9 * 2**20
+    assert _peak_bytes(ww_average, system, random_mean_zero(system, 1), 1, 1024) < 8 * 2**20
+
+
+def test_strong_kernel_reads_rows_without_index_tables(monkeypatch):
+    # rows are windows of gathered cycle stretches; reading them through
+    # orbit_indices took a (256, 1024) index table per chunk
+    system = random_permutation(8192, 1)
+    shapes = []
+    real = FiniteSystem.orbit_indices
+
+    def recording(self, *args):
+        table = real(self, *args)
+        shapes.append(np.shape(table))
+        return table
+
+    monkeypatch.setattr(FiniteSystem, "orbit_indices", recording)
+    ww_average(system, random_mean_zero(system, 1), 1, 1024)
+    assert shapes and all(len(shape) <= 1 for shape in shapes)
 
 
 def test_weak_kernel_forms_its_products_in_place():

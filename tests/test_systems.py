@@ -189,6 +189,44 @@ def test_power_indices_follow_the_forward_map(system, a, m):
             assert iterate(system, x, exponent) == got[x]
 
 
+@st.composite
+def _row_systems(draw):
+    """Systems with short cycles, long cycles, or both (the cut-over is 32)."""
+    kind = draw(st.sampled_from(["identity", "cycle", "random", "skew", "product"]))
+    seed = draw(st.integers(0, 10**6))
+    if kind == "identity":
+        return identity_system(draw(st.integers(1, 40)))
+    if kind == "cycle":
+        return cyclic_shift(draw(st.integers(1, 90)))
+    if kind == "random":
+        return random_permutation(draw(st.integers(1, 150)), seed)
+    if kind == "skew":
+        return skew_product(draw(st.integers(1, 9)))
+    return product_system(cyclic_shift(draw(st.integers(1, 40))), random_permutation(draw(st.integers(1, 6)), seed))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_row_systems(), st.data())
+def test_orbit_rows_match_orbit_product_bit_for_bit(system, data):
+    system._ensure_cycles()
+    longest = int(system._cycle_len.max())
+    steps = data.draw(st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3, longest + 1, 2**62 + 1]),
+                               min_size=1, max_size=3))
+    N = data.draw(st.integers(1, 3 * longest + 2))  # below and above the cycle lengths
+    # chunks of one row, of a few rows that split cycles, and of every row
+    budget = data.draw(st.sampled_from([1, 3 * N, 17 * N, system.size * N]))
+    rng = np.random.default_rng(len(steps) + N)
+    factors = [(rng.standard_normal(system.size) + 1j * rng.standard_normal(system.size), a) for a in steps]
+    seen = []
+    for points, rows in system.orbit_rows(factors, N, budget):
+        assert rows.shape == (points.size, N) and rows.flags.c_contiguous
+        assert points.size <= max(1, budget // N)
+        expected = system.orbit_product(factors, points[:, None], np.arange(1, N + 1))
+        assert np.array_equal(rows.view(np.uint64), expected.view(np.uint64))
+        seen.extend(points.tolist())
+    assert sorted(seen) == list(range(system.size))
+
+
 def test_orbit_table_wraps_the_primitive():
     system = random_permutation(30, 5)
     table = system.orbit_table(12)
